@@ -31,7 +31,10 @@ def main() -> None:
 
     # adversary-free cold start: every node legitimate within diameter+1 rounds
     out = run(RunConfig(graph=g, root=root, max_rounds=diam + 1))
-    legit = sum(detect_legitimate(out.final, u) for u in range(g.n))
+    legit = sum(
+        detect_legitimate(g, root, frozenset(), out.final.keys, out.trace[-1], u)
+        for u in range(g.n)
+    )
     print(f"after {diam + 1} rounds every node is in a legitimate state: "
           f"{legit}/{g.n}")
     print("levels of the first ten nodes:", out.trace[-1].levels[:10])
@@ -55,7 +58,7 @@ def main() -> None:
         stability_window=diam + 6,
     )
     attacked = run(cfg)
-    ill = ill_directed_set(attacked.final)
+    ill = ill_directed_set(aug, root, attacked.final.malicious, attacked.trace[-1])
     print(f"\nsimulated ill-directed set ({len(ill)} nodes):", sorted(ill))
     print("contained in the analytic set:", ill <= report.containment_set)
     print("covers every strictly-lost node:", report.strict_set <= ill)

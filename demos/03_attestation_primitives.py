@@ -1,21 +1,17 @@
 """The security objects underneath the protocol, hands on.
 
 Shows a level attestation being built hop by hop, what each validity
-condition rejects, why a relay cannot shorten a chain, and the standalone
-hash-chain distance encoding (a lighter alternative that trades away loop
-detection and replay protection).
+condition rejects, and why a relay cannot shorten a chain.
 """
 
 from spantree import (
     Deltas,
     LevelAttestation,
     extend,
-    hash_chain_build,
-    hash_chain_distance,
     is_valid_att,
     is_valid_link,
 )
-from spantree.crypto import MODEL, digest
+from spantree.crypto import MODEL
 
 
 def main() -> None:
@@ -53,15 +49,6 @@ def main() -> None:
     truncated = LevelAttestation.from_tuples(att2.tuples[:1], MODEL)
     print("truncating bob's chain back to one hop:",
           is_valid_link(truncated, nid_alice_at_bob, link2, MODEL))
-
-    # hash chains encode distance as remaining hash applications
-    chain = hash_chain_build(b"root secret", diam=8)
-    for hops in (1, 4, 8):
-        value = chain.links[hops - 1]
-        print(f"\nhash-chain value for distance {hops} decodes to",
-              hash_chain_distance(value, chain.anchor, 8))
-    print("a forged value is rejected:",
-          hash_chain_distance(digest(b"forgery"), chain.anchor, 8))
 
 
 if __name__ == "__main__":

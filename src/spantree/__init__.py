@@ -16,14 +16,9 @@ from .adversary import (
     place_attack_edges,
 )
 from .analysis import (
-    CampaignStats,
     ContainmentReport,
-    RunSummary,
-    campaign_stats,
     containment_sets,
-    distance_diagnostics,
     mean_ci99,
-    rln,
     simulated_lost_set,
 )
 from .attestation import (
@@ -51,14 +46,11 @@ from .campaign import (
 )
 from .crypto import (
     Ed25519Backend,
-    HashChain,
     KeyPair,
     MODEL,
     ModelBackend,
     Signature,
     digest,
-    hash_chain_build,
-    hash_chain_distance,
     level_message,
     link_message,
 )
@@ -95,12 +87,9 @@ from .simcore import (
     consistency_round,
     convergence_round,
     count_disturbances,
-    detect_ill_directed,
     detect_legitimate,
     detect_stable,
-    dump_trace,
     ill_directed_set,
-    root_directed_status,
     run,
     snapshot_status,
 )

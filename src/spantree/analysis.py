@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .graph import INF, Graph, bfs_distances, bfs_distances_avoiding
-from .simcore import RunOutcome, WalkStatus, snapshot_status
+from .simcore import RunOutcome, changed, ill_directed_set
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,10 @@ class ContainmentReport:
     deg_sum: int
     dist_root: np.ndarray
     dist_adv: np.ndarray
-    dist_root_honest: np.ndarray
-    cheat: bool
 
     @property
     def disturbance_budget(self) -> int:
         return 2 * self.deg_sum - len(self.containment_set - self.strict_set)
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    rln: float
-    mean_dist_root: float
-    mean_dist_adv: float
-    effective_adv_dist: float
-    convergence_round: int | None
-
-
-@dataclass(frozen=True)
-class CampaignStats:
-    mean: float
-    ci99_half_width: float
-    count: int
 
 
 def containment_sets(
@@ -114,33 +96,7 @@ def containment_sets(
         deg_sum=deg_sum,
         dist_root=dist_root,
         dist_adv=dist_adv,
-        dist_root_honest=dist_root_honest,
-        cheat=cheat,
     )
-
-
-def rln(lost, honest) -> float:
-    """Ratio of lost nodes: |lost| / |honest|."""
-    lost_set = frozenset(lost)
-    honest_set = frozenset(honest)
-    if not honest_set:
-        raise ValueError("honest set is empty")
-    if not lost_set <= honest_set:
-        raise ValueError("lost set must be a subset of the honest set")
-    return len(lost_set) / len(honest_set)
-
-
-def distance_diagnostics(g: Graph, root: int, adversary: int) -> tuple[float, float, float]:
-    """Mean honest-node distances to the root and to the adversary, plus the
-    effective adversary distance (the mean adversary distance shifted by the
-    level the adversary can credibly claim)."""
-    dist_root = bfs_distances(g, [root])
-    dist_adv = bfs_distances(g, [adversary])
-    honest = [u for u in range(g.n) if u != adversary]
-    d_r = float(np.mean([dist_root[u] for u in honest]))
-    d_m = float(np.mean([dist_adv[u] for u in honest]))
-    big_d = d_m + float(dist_root[adversary]) - 1.0
-    return d_r, d_m, big_d
 
 
 def mean_ci99(samples) -> tuple[float, float]:
@@ -155,28 +111,15 @@ def mean_ci99(samples) -> tuple[float, float]:
     return mean, half
 
 
-def campaign_stats(samples) -> CampaignStats:
-    """Per-cell aggregate of a sampled metric."""
-    mean, half = mean_ci99(samples)
-    return CampaignStats(mean=mean, ci99_half_width=half, count=len(list(samples)))
-
-
 def simulated_lost_set(outcome: RunOutcome, window_start_round: int) -> frozenset[int]:
     """Measured lost set: honest nodes that changed level or pid anywhere in
     the window, or whose final parent chain runs through the adversary."""
     window = [s for s in outcome.trace if s.round >= window_start_round]
     if len(window) < 2:
         raise ValueError("trace too short for the requested window")
-    g = outcome.cfg.graph
-    malicious = outcome.final.malicious
     honest = outcome.honest
-    lost: set[int] = set()
-    for a, b in zip(window, window[1:]):
-        for u in honest:
-            if a.levels[u] != b.levels[u] or a.pids[u] != b.pids[u]:
-                lost.add(u)
-    last = window[-1]
-    for u in honest:
-        if snapshot_status(g, outcome.cfg.root, malicious, last, u) is WalkStatus.ILL:
-            lost.add(u)
-    return frozenset(lost)
+    pairs = list(zip(window, window[1:]))
+    lost = {u for u in honest if any(changed(a, b, (u,)) for a, b in pairs)}
+    cfg = outcome.cfg
+    ill = ill_directed_set(cfg.graph, cfg.root, outcome.final.malicious, window[-1])
+    return frozenset(lost | ill)

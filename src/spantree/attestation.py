@@ -142,6 +142,18 @@ class LevelAttestation:
         self._exp_val = val
         return val
 
+    def binds_reader(self, reader_id: bytes, backend) -> bool:
+        """Whether the final signature covers ``reader_id``.
+
+        Memoized for the last reader asked: the answer does not depend on the
+        time, and a chain is normally read by the one node it was built for.
+        """
+        if self._c4_reader != reader_id:
+            last = self.tuples[-1]
+            self._c4_ok = backend.verify(last.p, level_message(reader_id, last.t), last.sig)
+            self._c4_reader = reader_id
+        return self._c4_ok
+
     def to_bytes(self) -> bytes:
         if self._bytes is None:
             self._bytes = b"".join(_record(t) for t in self.tuples)
@@ -248,13 +260,7 @@ def is_valid_att(
         return False
     if not att.chain_ok:
         return False
-    if att._c4_reader == reader_id:  # reader-binding is time-independent
-        return att._c4_ok
-    last = att.tuples[-1]
-    ok = backend.verify(last.p, level_message(reader_id, last.t), last.sig)
-    att._c4_reader = reader_id
-    att._c4_ok = ok
-    return ok
+    return att.binds_reader(reader_id, backend)
 
 
 def is_valid_link(

@@ -24,31 +24,32 @@ from random import Random
 from .adversary import AdversaryBehavior, AdversaryConfig, place_attack_edges
 from .analysis import (
     ContainmentReport,
-    RunSummary,
-    campaign_stats,
     containment_sets,
-    rln,
+    mean_ci99,
     simulated_lost_set,
 )
-from .attestation import Deltas
+from .attestation import Deltas, is_consistent, is_valid_att
 from .graph import (
     Graph,
     GraphMetrics,
+    exact_diameter,
     extract_largest_component,
     generate_erdos_renyi,
     load_edge_list,
     metrics,
     randomize_preserving_degrees,
 )
+from .crypto import MODEL
 from .protocol import InitMode, ProtocolKind
 from .simcore import (
     RunConfig,
-    Snapshot,
     WalkStatus,
     consistency_round,
     convergence_round,
     count_disturbances,
+    detect_legitimate,
     detect_stable,
+    ill_directed_set,
     run,
     snapshot_status,
 )
@@ -116,12 +117,9 @@ class CampaignConfig:
                 raise ValueError(f"unknown behavior {b!r}")
 
 
-def parse_campaign_config(text: str) -> CampaignConfig:
-    """Parse the flat key = value campaign file format.
-
-    Blank lines and '#' comments are ignored.  List-valued keys
-    (protocols, behaviors, attack_edges) take comma-separated values.
-    """
+def parse_key_values(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; blank lines and '#' comments are
+    ignored, and any other line without '=' is an error."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -131,6 +129,16 @@ def parse_campaign_config(text: str) -> CampaignConfig:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         raw[key.strip()] = value.strip()
+    return raw
+
+
+def parse_campaign_config(text: str) -> CampaignConfig:
+    """Parse the flat key = value campaign file format.
+
+    List-valued keys (protocols, behaviors, attack_edges) take
+    comma-separated values.
+    """
+    raw = parse_key_values(text)
 
     def take_bool(key: str, default: bool) -> bool:
         if key not in raw:
@@ -157,7 +165,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
         master_seed=int(raw.pop("master_seed", "1")),
         delta_d=int(raw.pop("delta_d", "1")),
         delta_e=int(raw.pop("delta_e", "1")),
-        delta_c=int(raw["delta_c"]) if raw.pop("delta_c", "") else None,
+        delta_c=int(raw.pop("delta_c")) if "delta_c" in raw else None,
         analytic_only=take_bool("analytic_only", True),
         output=raw.pop("output", "") or None,
         timestamp_header=take_bool("timestamp_header", True),
@@ -223,14 +231,15 @@ def _root_and_report(
     raise ValueError(f"no usable root found after 10 attempts: {last_err}")
 
 
-def _sim_parameters(report: ContainmentReport, g_atk: int, deltas: Deltas):
-    finite = [d for d in report.dist_root if math.isfinite(d)]
-    diam_ub = 2 * int(max(finite)) if finite else 2
-    t0 = diam_ub + 1
-    window = 2 * (diam_ub + 1) + 2 * g_atk + 6
-    budget = report.disturbance_budget
+def _disturb_schedule(diam_bound: int, g_atk: int, budget: int) -> tuple[int, int, int]:
+    """Round schedule ``(t0, window, max_rounds)`` of a run under attack,
+    given a bound on the overlay diameter: the stabilization point, the
+    quiet window that certifies stability, and a round cap that leaves room
+    for ``budget`` disturbances."""
+    t0 = diam_bound + 1
+    window = 2 * (diam_bound + 1) + 2 * g_atk + 6
     max_rounds = min(t0 + 2 * budget + window + 60, 4000)
-    return diam_ub, t0, window, max_rounds
+    return t0, window, max_rounds
 
 
 def simulate_run(
@@ -244,8 +253,8 @@ def simulate_run(
     report: ContainmentReport,
     deltas: Deltas,
 ):
-    """Full-protocol execution of one campaign run; returns the outcome, the
-    measured lost set, and a per-run summary."""
+    """Full-protocol execution of one campaign run; returns the measured lost
+    set and the convergence round."""
     honest = frozenset(range(aug.n)) - {m}
     if behavior == "disturb":
         strict = (
@@ -254,7 +263,11 @@ def simulate_run(
         candidates = honest - strict
     else:
         candidates = honest
-    _, t0, window, max_rounds = _sim_parameters(report, g_atk, deltas)
+    # containment_sets has checked that every node reaches the root
+    diam_bound = 2 * int(report.dist_root.max())
+    t0, window, max_rounds = _disturb_schedule(
+        diam_bound, g_atk, report.disturbance_budget
+    )
     cfg = RunConfig(
         graph=aug,
         root=root,
@@ -272,16 +285,7 @@ def simulate_run(
     last_round = outcome.trace[-1].round
     start = max(t0, last_round - window)
     lost = simulated_lost_set(outcome, start)
-    d_r = float(sum(report.dist_root[u] for u in honest) / len(honest))
-    d_m = float(sum(report.dist_adv[u] for u in honest) / len(honest))
-    summary = RunSummary(
-        rln=len(lost) / len(honest),
-        mean_dist_root=d_r,
-        mean_dist_adv=d_m,
-        effective_adv_dist=d_m + report.adv_root_distance - 1.0,
-        convergence_round=convergence_round(outcome.trace, candidates),
-    )
-    return outcome, lost, summary
+    return lost, convergence_round(outcome.trace, candidates)
 
 
 def run_campaign(cfg: CampaignConfig) -> list[dict]:
@@ -336,12 +340,12 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                             cfg.delta_c if cfg.delta_c is not None else (g_atk + 2) * step
                         )
                         deltas = Deltas(delta_c, cfg.delta_d, cfg.delta_e)
-                        _, _, summary = simulate_run(
+                        lost_sim, conv = simulate_run(
                             aug, m, root, protocol, behavior, g_atk,
                             derive_seed(run_seed, protocol), rep, deltas,
                         )
-                        row["rln_simulated"] = summary.rln
-                        row["convergence_round"] = summary.convergence_round
+                        row["rln_simulated"] = len(lost_sim) / honest_n
+                        row["convergence_round"] = conv
                     cells[(protocol, behavior, g_atk)].append(row)
     rows: list[dict] = []
     for key in sorted(cells):
@@ -376,7 +380,7 @@ def _summary_rows(cell_rows: list[dict]) -> list[dict]:
             if kind == "MEAN":
                 row[col] = sum(vals) / len(vals)
             elif col in ("rln_analytic", "rln_simulated") and len(vals) >= 2:
-                row[col] = campaign_stats(vals).ci99_half_width
+                row[col] = mean_ci99(vals)[1]
         return row
 
     return [agg("MEAN"), agg("CI99")]
@@ -453,10 +457,6 @@ class OracleReport:
     baseline_runs: int = 0
     elapsed_seconds: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _random_instance(rng: Random, n_lo: int, n_hi: int, g_hi: int):
     """One random (graph, placement, root) instance for the oracle suite."""
@@ -475,36 +475,6 @@ def _random_instance(rng: Random, n_lo: int, n_hi: int, g_hi: int):
     aug, m = place_attack_edges(g, g_atk, rng.getrandbits(48))
     root = rng.randrange(g.n)
     return g, aug, m, root, g_atk
-
-
-def _exact_diameter_small(g: Graph) -> int:
-    from .graph import exact_diameter
-
-    return exact_diameter(g)
-
-
-def _snapshot_legitimate(
-    g: Graph, root: int, malicious: frozenset[int], keys, snap: Snapshot, node: int
-) -> bool:
-    lvl = snap.levels[node]
-    if node == root:
-        return lvl == 0 and snap.pids[node] == keys[node]
-    if lvl is None or lvl == 0:
-        return False
-    l_min = None
-    for v in g.neighbor_lists[node]:
-        if v in malicious:
-            continue
-        lv = snap.levels[v]
-        if lv is not None and (l_min is None or lv < l_min):
-            l_min = lv
-    if l_min is None or lvl != l_min + 1:
-        return False
-    return any(
-        snap.levels[v] == l_min and snap.pids[node] == keys[v]
-        for v in g.neighbor_lists[node]
-        if v not in malicious
-    )
 
 
 def oracle_check(
@@ -548,12 +518,12 @@ def oracle_check(
             viol.append(f"{tag}: removing the cheat enlarged the strict set")
 
         honest = frozenset(range(aug.n)) - {m}
-        diam = _exact_diameter_small(aug)
+        diam = exact_diameter(aug)
         step = 2
         deltas = Deltas((g_atk + 2) * step, 1, 1)
 
         # adversary-free convergence: every node legitimate within diam+1
-        diam_h = _exact_diameter_small(base_honest)
+        diam_h = exact_diameter(base_honest)
         free_cfg = RunConfig(
             graph=base_honest, root=root, protocol=ProtocolKind.ATTESTED,
             deltas=deltas, seed=derive_seed(master_seed, "free", idx),
@@ -562,7 +532,7 @@ def oracle_check(
         free_out = run(free_cfg)
         snap = free_out.trace[min(diam_h + 1, len(free_out.trace) - 1)]
         for u in range(base_honest.n):
-            if not _snapshot_legitimate(
+            if not detect_legitimate(
                 base_honest, root, frozenset(), free_out.final.keys, snap, u
             ):
                 viol.append(f"{tag}: adversary-free node {u} not legitimate at the bound")
@@ -580,16 +550,6 @@ def oracle_check(
                                  honest, master_seed, idx)
     report.elapsed_seconds = time.perf_counter() - t_begin
     return report
-
-
-def _statuses_per_round(outcome, nodes):
-    g = outcome.cfg.graph
-    root = outcome.cfg.root
-    malicious = outcome.final.malicious
-    for snap in outcome.trace:
-        yield snap.round, {
-            u: snapshot_status(g, root, malicious, snap, u) for u in nodes
-        }
 
 
 def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
@@ -613,27 +573,24 @@ def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
         viol.append(f"{tag}: cheating-adversary run failed to stabilize")
         return
 
+    malicious = frozenset({m})
     keys = out.final.keys
     bound_snap = out.trace[min(diam + 1, len(out.trace) - 1)]
     for u in safe:
-        if not _snapshot_legitimate(aug, root, frozenset({m}), keys, bound_snap, u):
+        if not detect_legitimate(aug, root, malicious, keys, bound_snap, u):
             viol.append(f"{tag}: safe node {u} not legitimate by round diam+1 under cheat")
             break
 
     # safe nodes must stay well-directed from the bound onward
-    for rnd, statuses in _statuses_per_round(out, safe):
-        if rnd <= diam + 1:
-            continue
-        bad = [u for u, s in statuses.items() if s is not WalkStatus.WELL]
+    for snap in out.trace[diam + 2:]:
+        bad = [u for u in safe
+               if snapshot_status(aug, root, malicious, snap, u) is not WalkStatus.WELL]
         if bad:
-            viol.append(f"{tag}: safe node {bad[0]} left well-directed state at round {rnd}")
+            viol.append(f"{tag}: safe node {bad[0]} left well-directed state "
+                        f"at round {snap.round}")
             break
 
-    final = out.trace[-1]
-    ill = {
-        u for u in honest
-        if snapshot_status(aug, root, frozenset({m}), final, u) is WalkStatus.ILL
-    }
+    ill = ill_directed_set(aug, root, malicious, out.trace[-1])
     if not ill <= rep.containment_set:
         viol.append(f"{tag}: ill-directed set escapes the containment set: "
                     f"{sorted(ill - rep.containment_set)}")
@@ -646,11 +603,7 @@ def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
                     seed=derive_seed(master_seed, "honestadv", idx))
     out_h = run(cfg_h)
     report.honest_runs += 1
-    final_h = out_h.trace[-1]
-    ill_h = {
-        u for u in honest
-        if snapshot_status(aug, root, frozenset({m}), final_h, u) is WalkStatus.ILL
-    }
+    ill_h = ill_directed_set(aug, root, malicious, out_h.trace[-1])
     if not ill_h <= rep_nc.containment_set:
         viol.append(f"{tag}: non-cheating ill set escapes its containment set")
     if not ill_h <= ill:
@@ -663,10 +616,8 @@ def _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
                        honest, master_seed, idx):
     viol = report.violations
     candidates = honest - rep.strict_set
-    t0 = diam + 1
-    window = 2 * (diam + 1) + 2 * g_atk + 6
     budget = rep.disturbance_budget
-    max_rounds = min(t0 + 2 * budget + window + 60, 4000)
+    t0, window, max_rounds = _disturb_schedule(diam, g_atk, budget)
     cfg = RunConfig(
         graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
         adversary=AdversaryConfig(AdversaryBehavior.DISTURB, g_atk),
@@ -687,8 +638,7 @@ def _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
     if rep.strict_set:
         tail = out.trace[-(window + 1):]
         for u in rep.strict_set:
-            if all(a.levels[u] == b.levels[u] and a.pids[u] == b.pids[u]
-                   for a, b in zip(tail, tail[1:])):
+            if detect_stable(tail, (u,)):
                 viol.append(f"{tag}: strictly-lost node {u} went quiet under disturbances")
                 break
 
@@ -711,10 +661,6 @@ def consistency_check(
     (the extensions carry fresh timestamps and their own, longer budgets),
     which is why the guarantee is stated over the stale values themselves.
     """
-    from .attestation import is_consistent, is_valid_att
-    from .crypto import MODEL
-    from .graph import exact_diameter
-
     t_begin = time.perf_counter()
     report = OracleReport()
     idx = -1
@@ -749,7 +695,9 @@ def consistency_check(
             max_rounds=consistency_round(deltas, diam) + diam + 6,
         )
 
-        violations = report.violations
+        # per instance: after its first violation an instance is not checked
+        # further, but the next instance is
+        violations: list[str] = []
 
         def check_att(att, reader, reader_id, where, rnd, now, directory, config):
             if not att.tuples or max(t.t for t in att.tuples) > deltas.c:
@@ -788,6 +736,7 @@ def consistency_check(
                               rnd, now, directory, config)
 
         run(cfg, per_round_hook=check_round)
+        report.violations.extend(violations)
     report.elapsed_seconds = time.perf_counter() - t_begin
     return report
 
@@ -831,11 +780,7 @@ def _check_baseline_runs(report, tag, aug, m, root, g_atk, rep, diam, honest,
         max_rounds=2 * (diam + 2) + window + 10,
     )
     out_c = run(cfg_c)
-    final = out_c.trace[-1]
-    ill = {
-        u for u in honest
-        if snapshot_status(aug, root, frozenset({m}), final, u) is WalkStatus.ILL
-    }
+    ill = ill_directed_set(aug, root, frozenset({m}), out_c.trace[-1])
     if not strict <= ill:
         viol.append(f"{tag}: baseline strictly-closer nodes ended well-directed")
     if not ill <= (strict | ties):

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .campaign import (
     campaign_csv,
     oracle_check,
     parse_campaign_config,
+    parse_key_values,
     report_table1,
     run_campaign,
 )
@@ -28,9 +30,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fp:
         cfg = parse_campaign_config(fp.read())
     if args.output is not None:
-        cfg = type(cfg)(**{**cfg.__dict__, "output": args.output})
+        cfg = replace(cfg, output=args.output)
     if args.no_timestamp:
-        cfg = type(cfg)(**{**cfg.__dict__, "timestamp_header": False})
+        cfg = replace(cfg, timestamp_header=False)
     rows = run_campaign(cfg)
     text = campaign_csv(cfg, rows)
     if cfg.output:
@@ -59,15 +61,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    params: dict = {}
+    params: dict[str, str] = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                params[key.strip()] = value.strip()
+            params = parse_key_values(fp.read())
+        unknown = set(params) - {"instances", "master_seed"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
     instances = int(params.get("instances", args.instances))
     seed = int(params.get("master_seed", args.seed))
     report = oracle_check(instances=instances, master_seed=seed)

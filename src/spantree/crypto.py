@@ -1,4 +1,4 @@
-"""Signature backends, hashing, canonical message encodings, and hash chains.
+"""Signature backends, hashing, and canonical message encodings.
 
 Two interchangeable signature backends are provided:
 
@@ -175,47 +175,3 @@ class Ed25519Backend:
 
 
 MODEL = ModelBackend()
-
-
-@dataclass(frozen=True, slots=True)
-class HashChain:
-    """Iterated-hash chain h_1 = H(r), h_2 = H(h_1), ..., h_diam."""
-
-    links: tuple[bytes, ...]
-
-    @property
-    def anchor(self) -> bytes:
-        return self.links[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.links)
-
-
-def hash_chain_build(seed: bytes, diam: int) -> HashChain:
-    """Build a hash chain of length ``diam`` from the secret seed value."""
-    if diam < 1:
-        raise ValueError("chain length must be at least 1")
-    links = []
-    cur = seed
-    for _ in range(diam):
-        cur = digest(cur)
-        links.append(cur)
-    return HashChain(tuple(links))
-
-
-def hash_chain_distance(value: bytes, anchor: bytes, diam: int) -> int | None:
-    """Decode a distance from a chain link, or None if the value is rejected.
-
-    Hashes ``value`` at most ``diam`` times; if the anchor appears after k
-    applications the encoded distance is ``diam - k``.  A value that never
-    reaches the anchor is a forgery or out of range.
-    """
-    if diam < 1:
-        raise ValueError("chain length must be at least 1")
-    cur = value
-    for k in range(diam + 1):
-        if cur == anchor:
-            return diam - k
-        cur = digest(cur)
-    return None

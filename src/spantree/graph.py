@@ -80,10 +80,6 @@ class Graph:
     # -- accessors --------------------------------------------------------
 
     @property
-    def node_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .attestation import Deltas, LevelAttestation, extend, is_valid_att, is_valid_link
-from .crypto import KeyPair, Signature, level_message
+from .crypto import KeyPair, Signature
 
 NID_BYTES = 8
 
@@ -214,13 +214,7 @@ def step_honest_attested(
             # the previous-hop signature check is identical for every
             # neighbor: it binds this node's own key (same check as the
             # reader-binding condition evaluated when the chain was adopted)
-            if att._c4_reader == my_id:
-                chain_hint = att.chain_ok and att._c4_ok
-            else:
-                last = att.tuples[-1]
-                chain_hint = att.chain_ok and backend.verify(
-                    last.p, level_message(my_id, last.t), last.sig
-                )
+            chain_hint = att.chain_ok and att.binds_reader(my_id, backend)
         else:
             chain_hint = True
         step = deltas.step

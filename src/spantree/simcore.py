@@ -15,19 +15,20 @@ bounds exactly checkable in rounds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import graph as graphmod
 from .adversary import (
     AdversaryConfig,
     AdversaryState,
+    CachedOffer,
     adversary_step,
     make_adversary_state,
 )
 from .attestation import AttTuple, Deltas, LevelAttestation
-from .crypto import MODEL, KeyPair
+from .crypto import MODEL, KeyPair, level_message, link_message
 from .graph import Graph, bfs_distances
 from .protocol import (
     InitMode,
@@ -67,7 +68,6 @@ class Configuration:
     keys: tuple[bytes, ...]
     node_states: tuple
     registers: tuple
-    adversary_state: AdversaryState | None
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ class RunConfig:
     stability_window: int = 0
     stability_candidates: frozenset[int] | None = None
     clock_jitter: bool = False
-    snapshot_stride: int | None = None
-    plant_probability: float = 0.5
 
     def __post_init__(self):
         if not (0 <= self.root < self.graph.n):
@@ -108,7 +106,6 @@ class RunOutcome:
     final: Configuration
     rounds_executed: int
     stopped_early: bool
-    configurations: list[Configuration] = field(default_factory=list)
 
     @property
     def honest(self) -> list[int]:
@@ -116,6 +113,10 @@ class RunOutcome:
 
 
 RoundHook = Callable[[int, Configuration], None]
+
+# share of registers (and adversary cache slots) planted with stale content
+# in an adversarial start
+_PLANTED_SHARE = 0.5
 
 
 def consistency_round(deltas: Deltas, diam: int) -> int:
@@ -186,7 +187,7 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
     for u in range(n):
         row = []
         for k, v in enumerate(nl[u]):
-            if cfg.init_mode is InitMode.ADVERSARIAL and rng.random() < cfg.plant_probability:
+            if cfg.init_mode is InitMode.ADVERSARIAL and rng.random() < _PLANTED_SHARE:
                 row.append(_plant_register(
                     rng, pubs[u], keys, secret_by_pub, pubs[v],
                     nid_assigned_by(v, u), root_id, diam_hint,
@@ -203,10 +204,8 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
     ):
         # obsolete harvest residue: the adversary starts with stale chains it
         # will replay at its victims until they stop verifying
-        from .adversary import CachedOffer
-
         for k, v in enumerate(nl[m]):
-            if rng.random() < cfg.plant_probability:
+            if rng.random() < _PLANTED_SHARE:
                 att, link = _plant_attestation(
                     rng, keys, secret_by_pub, pubs[v], nid_assigned_by(v, m),
                     root_id, diam_hint, deltas, backend, bind_probability=0.8,
@@ -245,13 +244,9 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
             keys=pubs,
             node_states=node_states,
             registers=tuple(tuple(row) for row in out),
-            adversary_state=adv_state,
         )
 
     trace = [light_snapshot(0)]
-    configurations: list[Configuration] = []
-    if cfg.snapshot_stride:
-        configurations.append(full_config(0))
     candidates = (
         list(cfg.stability_candidates) if cfg.stability_candidates is not None else honest
     )
@@ -287,16 +282,12 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
         snap = light_snapshot(rnd)
         prev = trace[-1]
         trace.append(snap)
-        if cfg.snapshot_stride and rnd % cfg.snapshot_stride == 0:
-            configurations.append(full_config(rnd))
         if per_round_hook is not None:
             per_round_hook(rnd, full_config(rnd))
         w = cfg.stability_window
         if w > 0:
-            for u in candidates:
-                if prev.levels[u] != snap.levels[u] or prev.pids[u] != snap.pids[u]:
-                    last_change = rnd
-                    break
+            if changed(prev, snap, candidates):
+                last_change = rnd
             if rnd - last_change >= w:
                 stopped_early = True
                 break
@@ -307,7 +298,6 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
         final=full_config(rnd),
         rounds_executed=rnd,
         stopped_early=stopped_early,
-        configurations=configurations,
     )
 
 
@@ -330,8 +320,6 @@ def _plant_attestation(
     present topology, and are bound to the given reader with the given
     probability.  Returns (attestation, link signature).
     """
-    from .crypto import level_message, link_message
-
     n = len(keys)
     length = rng.randint(1, diam_hint)
     chain = [keys[rng.randrange(n)].public for _ in range(length)]
@@ -388,14 +376,10 @@ def _plant_register(
 # -- detectors -----------------------------------------------------------
 
 
-def _walk(
-    g: Graph,
-    root: int,
-    malicious: frozenset[int],
-    levels: Sequence,
-    prnts: Sequence,
-    node: int,
+def snapshot_status(
+    g: Graph, root: int, malicious: frozenset[int], snap: Snapshot, node: int
 ) -> WalkStatus:
+    """Classify the parent-pointer walk from ``node`` toward the root."""
     cur = node
     seen: set[int] = set()
     while True:
@@ -403,94 +387,89 @@ def _walk(
             return WalkStatus.ILL
         if cur == root:
             return WalkStatus.WELL
-        if levels[cur] is None:
+        if snap.levels[cur] is None:
             return WalkStatus.ORPHAN
         if cur in seen:
             return WalkStatus.LOOP
         seen.add(cur)
         nbrs = g.neighbor_lists[cur]
-        cur = nbrs[prnts[cur] % len(nbrs)]
+        cur = nbrs[snap.prnts[cur] % len(nbrs)]
 
 
-def root_directed_status(config: Configuration, node: int) -> WalkStatus:
-    """Classify the parent-pointer walk from ``node`` toward the root."""
-    levels = [st.level if st is not None else None for st in config.node_states]
-    prnts = [st.prnt if st is not None else 0 for st in config.node_states]
-    return _walk(config.graph, config.root, config.malicious, levels, prnts, node)
-
-
-def detect_ill_directed(config: Configuration, node: int) -> bool:
-    """True iff the node's parent chain runs through a malicious node."""
-    return root_directed_status(config, node) is WalkStatus.ILL
-
-
-def ill_directed_set(config: Configuration) -> frozenset[int]:
+def ill_directed_set(
+    g: Graph,
+    root: int,
+    malicious: frozenset[int],
+    snap: Snapshot,
+    nodes: Iterable[int] | None = None,
+) -> frozenset[int]:
+    """The nodes (default: every honest node) whose parent chain runs
+    through a malicious node."""
+    if nodes is None:
+        nodes = (u for u in range(g.n) if u not in malicious)
     return frozenset(
-        u for u in range(config.graph.n)
-        if u not in config.malicious and detect_ill_directed(config, u)
+        u for u in nodes
+        if snapshot_status(g, root, malicious, snap, u) is WalkStatus.ILL
     )
 
 
-def snapshot_status(
-    g: Graph, root: int, malicious: frozenset[int], snap: Snapshot, node: int
-) -> WalkStatus:
-    return _walk(g, root, malicious, snap.levels, snap.prnts, node)
-
-
-def detect_legitimate(config: Configuration, node: int) -> bool:
+def detect_legitimate(
+    g: Graph,
+    root: int,
+    malicious: frozenset[int],
+    keys: Sequence[bytes],
+    snap: Snapshot,
+    node: int,
+) -> bool:
     """Exact state-legitimacy predicate over true (not register) levels.
 
     Minimal neighbors are computed over honest neighbors only; the collective
     adversary has no well-defined true level.
     """
-    st = config.node_states[node]
-    if st is None:
+    if node in malicious:
         raise ValueError("legitimacy is defined for honest nodes only")
-    own = config.keys[node]
-    if node == config.root:
-        return st.level == 0 and st.pid == own
-    if st.level is None or st.level == 0:
+    lvl = snap.levels[node]
+    if node == root:
+        return lvl == 0 and snap.pids[node] == keys[node]
+    if lvl is None or lvl == 0:
         return False
     l_min = None
-    for v in config.graph.neighbor_lists[node]:
-        if v in config.malicious:
+    for v in g.neighbor_lists[node]:
+        if v in malicious:
             continue
-        lv = config.node_states[v].level
+        lv = snap.levels[v]
         if lv is not None and (l_min is None or lv < l_min):
             l_min = lv
-    if l_min is None or st.level != l_min + 1:
+    if l_min is None or lvl != l_min + 1:
         return False
-    for v in config.graph.neighbor_lists[node]:
-        if v in config.malicious:
-            continue
-        if config.node_states[v].level == l_min and st.pid == config.keys[v]:
-            return True
-    return False
+    return any(
+        snap.levels[v] == l_min and snap.pids[node] == keys[v]
+        for v in g.neighbor_lists[node]
+        if v not in malicious
+    )
+
+
+def changed(a: Snapshot, b: Snapshot, nodes: Iterable[int]) -> bool:
+    """True iff some node in ``nodes`` has a different level or pid in ``b``
+    than in ``a``."""
+    la, lb, pa, pb = a.levels, b.levels, a.pids, b.pids
+    return any(la[u] != lb[u] or pa[u] != pb[u] for u in nodes)
 
 
 def detect_stable(window: Sequence[Snapshot], candidates) -> bool:
     """True iff no candidate node changed level or pid across the window."""
     cand = list(candidates)
-    for a, b in zip(window, window[1:]):
-        for u in cand:
-            if a.levels[u] != b.levels[u] or a.pids[u] != b.pids[u]:
-                return False
-    return True
+    return not any(changed(a, b, cand) for a, b in zip(window, window[1:]))
 
 
 def count_disturbances(trace: Sequence[Snapshot], boundary_set) -> int:
     """Number of consecutive-configuration pairs in which some node outside
     ``boundary_set`` changed its level or pid."""
     inside = set(boundary_set)
-    count = 0
-    for a, b in zip(trace, trace[1:]):
-        for u in range(len(a.levels)):
-            if u in inside:
-                continue
-            if a.levels[u] != b.levels[u] or a.pids[u] != b.pids[u]:
-                count += 1
-                break
-    return count
+    return sum(
+        changed(a, b, (u for u in range(len(a.levels)) if u not in inside))
+        for a, b in zip(trace, trace[1:])
+    )
 
 
 def convergence_round(trace: Sequence[Snapshot], candidates) -> int | None:
@@ -501,27 +480,10 @@ def convergence_round(trace: Sequence[Snapshot], candidates) -> int | None:
     cand = list(candidates)
     last_change = None
     for a, b in zip(trace, trace[1:]):
-        for u in cand:
-            if a.levels[u] != b.levels[u] or a.pids[u] != b.pids[u]:
-                last_change = b.round
-                break
+        if changed(a, b, cand):
+            last_change = b.round
     if last_change is None:
         return trace[0].round
     if last_change == trace[-1].round:
         return None
     return last_change
-
-
-def dump_trace(outcome: RunOutcome, fp) -> None:
-    """CSV trace dump: one line per (round, node, level, pid, ill_directed)."""
-    g = outcome.cfg.graph
-    root = outcome.cfg.root
-    malicious = outcome.final.malicious
-    fp.write("round,node,level,pid,ill_directed\n")
-    for snap in outcome.trace:
-        for u in range(g.n):
-            if u in malicious:
-                continue
-            lvl = "" if snap.levels[u] is None else str(snap.levels[u])
-            ill = snapshot_status(g, root, malicious, snap, u) is WalkStatus.ILL
-            fp.write(f"{snap.round},{u},{lvl},{snap.pids[u].hex()},{int(ill)}\n")

@@ -89,7 +89,8 @@ def test_criterion_2_convergence_bound(oracle_report):
     """Clean starts reach legitimate states for every node outside the
     containment set within diameter+1 rounds, adversary-free and under the
     level-minimizing attack."""
-    bad = _category(oracle_report.violations, "not legitimate")
+    bad = _category(oracle_report.violations, "not legitimate",
+                    "left well-directed state")
     assert bad == [], bad[:5]
     print("\nACCEPTANCE 2 (convergence within diam+1): PASS")
 

@@ -14,8 +14,8 @@ from spantree import (
     containment_sets,
     ill_directed_set,
     place_attack_edges,
-    root_directed_status,
     run,
+    snapshot_status,
 )
 
 
@@ -77,7 +77,7 @@ class TestCheatRelay:
         )
         out = run(cfg)
         assert out.trace[-1].levels[3] == 3  # d(m, r), one less than honest
-        assert root_directed_status(out.final, 3) is WalkStatus.ILL
+        assert snapshot_status(aug, 0, frozenset({m}), out.trace[-1], 3) is WalkStatus.ILL
 
     def test_honest_adversary_is_one_level_worse(self):
         aug, m = _relay_instance()
@@ -197,5 +197,5 @@ class TestBaselineAdversary:
             adversary_node=4, max_rounds=12,
         )
         out = run(cfg)
-        ill = ill_directed_set(out.final)
+        ill = ill_directed_set(aug, 0, frozenset({4}), out.trace[-1])
         assert rep.baseline_lost <= ill <= rep.baseline_lost | rep.baseline_ties

@@ -10,12 +10,10 @@ from spantree import (
     Graph,
     RunConfig,
     containment_sets,
-    distance_diagnostics,
     extract_largest_component,
     generate_erdos_renyi,
     mean_ci99,
     place_attack_edges,
-    rln,
     run,
     simulated_lost_set,
 )
@@ -87,35 +85,6 @@ class TestContainmentSets:
         gap = rep.containment_set - rep.strict_set
         assert rep.deg_sum == sum(g.degree(u) for u in gap)
         assert rep.disturbance_budget == 2 * rep.deg_sum - len(gap)
-
-
-class TestRln:
-    def test_bounds(self):
-        assert rln(set(), {0, 1, 2}) == 0.0
-        assert rln({0, 1, 2}, {0, 1, 2}) == 1.0
-        assert rln({0}, {0, 1, 2}) == pytest.approx(1 / 3)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            rln(set(), set())
-        with pytest.raises(ValueError):
-            rln({5}, {0, 1})
-
-
-class TestDistanceDiagnostics:
-    def test_three_node_path(self):
-        # r(0)-a(1)-m(2): honest means 0.5 and 1.5, effective 2.5
-        g = Graph.from_edges(2, [(0, 1)]).with_added_node([1])
-        d_r, d_m, big_d = distance_diagnostics(g, 0, 2)
-        assert d_r == pytest.approx(0.5)
-        assert d_m == pytest.approx(1.5)
-        assert big_d == pytest.approx(2.5)
-
-    def test_fully_connected_adversary(self, triangle):
-        aug = triangle.with_added_node([0, 1, 2])
-        d_r, d_m, big_d = distance_diagnostics(aug, 0, 3)
-        assert d_m == pytest.approx(1.0)
-        assert big_d == pytest.approx(1.0)  # d(m, r) = 1
 
 
 class TestMeanCi99:

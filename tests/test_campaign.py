@@ -1,5 +1,4 @@
-import io
-import os
+import re
 
 import pytest
 
@@ -55,6 +54,10 @@ class TestConfigParsing:
     def test_missing_graph_rejected(self):
         with pytest.raises(ValueError, match="graph"):
             parse_campaign_config("runs = 5")
+
+    def test_delta_c_key(self):
+        assert parse_campaign_config("graph = er(60,130)\ndelta_c = 8").delta_c == 8
+        assert parse_campaign_config("graph = er(60,130)").delta_c is None
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +152,34 @@ class TestRunCampaign:
             run_campaign(cfg)
 
 
+class TestDistanceMeans:
+    """Honest-node distance means reported in the campaign rows."""
+
+    @staticmethod
+    def _row(tmp_path, edges, g_atk, master_seed):
+        path = tmp_path / "g.txt"
+        path.write_text(edges)
+        cfg = CampaignConfig(
+            graph_spec=f"file:{path}", protocols=("attested",), behaviors=("cheat",),
+            attack_edges=(g_atk,), runs=1, master_seed=master_seed,
+            timestamp_header=False,
+        )
+        return run_campaign(cfg)[0]
+
+    def test_three_node_path(self, tmp_path):
+        # r(0)-a(1)-m(2): honest means 0.5 and 1.5, effective 2.5
+        row = self._row(tmp_path, "0 1\n", 1, master_seed=5)
+        assert (row["root"], row["d_m_r"]) == (0, 2)
+        assert row["mean_dist_root"] == pytest.approx(0.5)
+        assert row["mean_dist_adv"] == pytest.approx(1.5)
+        assert row["effective_adv_dist"] == pytest.approx(2.5)
+
+    def test_fully_connected_adversary(self, tmp_path):
+        row = self._row(tmp_path, "0 1\n1 2\n0 2\n", 3, master_seed=1)
+        assert row["mean_dist_adv"] == pytest.approx(1.0)
+        assert row["effective_adv_dist"] == pytest.approx(1.0)  # d(m, r) = 1
+
+
 class TestReportTable1:
     def test_triangle_metrics(self, tmp_path):
         path = tmp_path / "tri.txt"
@@ -186,6 +217,18 @@ class TestConsistencyOracle:
         assert rep.violations
         assert "stale chain" in rep.violations[0]
 
+    def test_violation_does_not_stop_later_instances(self, monkeypatch):
+        # each instance is checked on its own: a violation in one does not
+        # stop the checks of the instances after it
+        from spantree import consistency_check
+        from spantree.attestation import LevelAttestation
+
+        monkeypatch.setattr(LevelAttestation, "expiry_base",
+                            lambda self, step: 10**12)
+        rep = consistency_check(instances=20, master_seed=7)
+        tags = {re.match(r"consistency(\d+)\(", v).group(1) for v in rep.violations}
+        assert len(tags) > 1
+
 
 class TestCli:
     def test_campaign_subcommand(self, tmp_path, capsys):
@@ -219,6 +262,27 @@ class TestCli:
         cfg.write_text("instances = 2\nmaster_seed = 9\n")
         assert cli_main(["oracle-check", str(cfg)]) == 0
         assert "instances checked: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "instances = 1\nbogus\ninstancez = 5\n",
+        "instances = 1\ninstancez = 5\n",
+    ], ids=["line-without-equals", "unknown-key"])
+    def test_oracle_check_config_errors(self, tmp_path, capsys, text):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(text)
+        assert cli_main(["oracle-check", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+
+    def test_campaign_cli_overrides(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(
+            "graph = er(40,80)\nprotocols = attested\nattack_edges = 2\nruns = 2\n"
+        )
+        assert cli_main(["campaign", str(cfg_path), "--output", str(out_path),
+                         "--no-timestamp"]) == 0
+        assert out_path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_error_exit_code(self, capsys):
         assert cli_main(["campaign", "/nonexistent/file.cfg"]) == 2

@@ -9,8 +9,6 @@ from spantree.crypto import (
     ModelBackend,
     Signature,
     digest,
-    hash_chain_build,
-    hash_chain_distance,
     level_message,
     link_message,
 )
@@ -131,53 +129,3 @@ class TestEd25519:
         other = backend.keygen(12)
         assert not backend.verify(other.public, b"data", sig)
 
-
-class TestHashChain:
-    def test_single_link(self):
-        chain = hash_chain_build(b"r", 1)
-        assert chain.anchor == digest(b"r")
-        assert chain.length == 1
-
-    def test_chain_property(self):
-        chain = hash_chain_build(b"seed", 4)
-        # h_2 hashed twice reaches the anchor
-        assert digest(digest(chain.links[1])) == chain.anchor
-        for a, b in zip(chain.links, chain.links[1:]):
-            assert digest(a) == b
-
-    def test_deterministic(self):
-        assert hash_chain_build(b"r", 6) == hash_chain_build(b"r", 6)
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            hash_chain_build(b"r", 0)
-        with pytest.raises(ValueError):
-            hash_chain_distance(digest(b"x"), digest(b"y"), 0)
-
-    def test_anchor_decodes_to_full_distance(self):
-        chain = hash_chain_build(b"r", 5)
-        assert hash_chain_distance(chain.anchor, chain.anchor, 5) == 5
-
-    def test_known_link_distance(self):
-        chain = hash_chain_build(b"r", 4)
-        assert hash_chain_distance(chain.links[1], chain.anchor, 4) == 2
-
-    def test_every_link_decodes_to_its_index(self):
-        diam = 9
-        chain = hash_chain_build(b"secret", diam)
-        for k in range(1, diam + 1):
-            assert hash_chain_distance(chain.links[k - 1], chain.anchor, diam) == k
-
-    def test_unrelated_value_rejected(self):
-        rng = random.Random(5)
-        chain = hash_chain_build(b"r", 6)
-        for _ in range(50):
-            bogus = digest(rng.randbytes(12))
-            result = hash_chain_distance(bogus, chain.anchor, 6)
-            assert result is None or 0 <= result <= 6
-
-    def test_distance_never_out_of_range(self):
-        chain = hash_chain_build(b"q", 3)
-        for value in chain.links + (digest(b"junk"),):
-            result = hash_chain_distance(value, chain.anchor, 3)
-            assert result is None or 0 <= result <= 3

@@ -223,7 +223,7 @@ class TestConvergenceBounds:
             diam = exact_diameter(g)
             out = run(RunConfig(graph=g, root=0, protocol=protocol, max_rounds=diam + 1))
             for u in range(g.n):
-                assert detect_legitimate(out.final, u)
+                assert detect_legitimate(g, 0, frozenset(), out.final.keys, out.trace[-1], u)
 
     def test_adversarial_start_recovers_after_expiry(self):
         rng = random.Random(22)
@@ -238,4 +238,4 @@ class TestConvergenceBounds:
                 seed=rng.getrandbits(32), max_rounds=bound,
             ))
             for u in range(g.n):
-                assert detect_legitimate(out.final, u)
+                assert detect_legitimate(g, 0, frozenset(), out.final.keys, out.trace[-1], u)

@@ -1,16 +1,11 @@
-import io
-import random
-
 import pytest
 
 from spantree import (
     AdversaryBehavior,
     AdversaryConfig,
-    Configuration,
     Deltas,
     Graph,
     InitMode,
-    NodeState,
     ProtocolKind,
     RunConfig,
     Snapshot,
@@ -18,40 +13,33 @@ from spantree import (
     consistency_round,
     convergence_round,
     count_disturbances,
-    detect_ill_directed,
     detect_legitimate,
     detect_stable,
-    dump_trace,
     extract_largest_component,
     generate_erdos_renyi,
-    root_directed_status,
+    ill_directed_set,
     run,
+    snapshot_status,
 )
-from spantree.attestation import LevelAttestation
 from spantree.crypto import MODEL
+from spantree.simcore import changed
+
+KEYS = tuple(MODEL.keygen(i).public for i in range(8))
 
 
-def _manual_config(g: Graph, root: int, malicious, levels, prnts):
-    """Configuration assembled from raw levels/parent pointers for detector
-    unit tests (registers and adversary state are irrelevant to them)."""
-    keys = tuple(MODEL.keygen(i).public for i in range(g.n))
-    states = []
-    for u in range(g.n):
-        if u in malicious:
-            states.append(None)
-            continue
-        deg = max(1, g.degree(u))
-        pid = keys[g.neighbor_lists[u][prnts[u] % deg]] if levels[u] not in (None, 0) else keys[u]
-        states.append(NodeState(
-            keys=type("KP", (), {"public": keys[u], "secret": b""})(),
-            level=levels[u], pid=pid, prnt=prnts[u], i_start=0,
-            level_att=LevelAttestation.empty(),
-            assigned_nids=(b"x" * 8,) * deg, is_root=(u == root),
-        ))
-    return Configuration(
-        round=0, graph=g, root=root, malicious=frozenset(malicious),
-        keys=keys, node_states=tuple(states), registers=(), adversary_state=None,
+def _manual_snapshot(g: Graph, levels, prnts) -> Snapshot:
+    """Snapshot assembled from raw levels/parent pointers for detector unit
+    tests: a node with a positive level names its parent's key as pid."""
+    pids = tuple(
+        KEYS[g.neighbor_lists[u][prnts[u] % g.degree(u)]]
+        if levels[u] not in (None, 0) else KEYS[u]
+        for u in range(g.n)
     )
+    return Snapshot(0, tuple(levels), pids, tuple(prnts))
+
+
+def _legitimate(g: Graph, snap: Snapshot, node: int) -> bool:
+    return detect_legitimate(g, 0, frozenset(), KEYS, snap, node)
 
 
 class TestScheduler:
@@ -81,10 +69,6 @@ class TestScheduler:
         assert out.stopped_early
         assert out.rounds_executed < 20
 
-    def test_snapshot_stride_records_configurations(self, path3):
-        out = run(RunConfig(graph=path3, root=0, max_rounds=6, snapshot_stride=2))
-        assert [c.round for c in out.configurations] == [0, 2, 4, 6]
-
     def test_clock_jitter_stays_within_skew(self, path3):
         out = run(RunConfig(graph=path3, root=0, max_rounds=8,
                             deltas=Deltas(3, 1, 1), clock_jitter=True, seed=5))
@@ -105,50 +89,54 @@ class TestScheduler:
 class TestDetectLegitimate:
     def test_root_conditions(self, path3):
         out = run(RunConfig(graph=path3, root=0, max_rounds=4))
-        assert detect_legitimate(out.final, 0)
+        assert detect_legitimate(path3, 0, frozenset(), out.final.keys, out.trace[-1], 0)
 
     def test_level_must_be_min_plus_one(self, path4):
-        cfg = _manual_config(path4, 0, set(), [0, 1, 3, 3], [0, 0, 0, 0])
-        assert not detect_legitimate(cfg, 2)
+        snap = _manual_snapshot(path4, [0, 1, 3, 3], [0, 0, 0, 0])
+        assert not _legitimate(path4, snap, 2)
 
     def test_parent_must_be_minimal(self):
         # diamond: 1 and 2 both neighbor 3; node 3 points at the non-minimal 2
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)])
-        cfg = _manual_config(g, 0, set(), [0, 1, 2, 2], [0, 0, 0, 1])
-        assert not detect_legitimate(cfg, 3)
-        good = _manual_config(g, 0, set(), [0, 1, 2, 2], [0, 0, 0, 0])
-        assert detect_legitimate(good, 3)
+        assert not _legitimate(g, _manual_snapshot(g, [0, 1, 2, 2], [0, 0, 0, 1]), 3)
+        assert _legitimate(g, _manual_snapshot(g, [0, 1, 2, 2], [0, 0, 0, 0]), 3)
 
     def test_nonroot_with_level_zero(self, path3):
-        cfg = _manual_config(path3, 0, set(), [0, 0, 1], [0, 0, 0])
-        assert not detect_legitimate(cfg, 1)
+        snap = _manual_snapshot(path3, [0, 0, 1], [0, 0, 0])
+        assert not _legitimate(path3, snap, 1)
+
+    def test_malicious_node_rejected(self, path3):
+        snap = _manual_snapshot(path3, [0, 1, 2], [0, 0, 0])
+        with pytest.raises(ValueError):
+            detect_legitimate(path3, 0, frozenset({2}), KEYS, snap, 2)
 
 
 class TestDetectIllDirected:
     def test_converged_tree_all_well(self, path3):
         out = run(RunConfig(graph=path3, root=0, max_rounds=4))
-        assert not any(detect_ill_directed(out.final, u) for u in range(3))
+        assert ill_directed_set(path3, 0, frozenset(), out.trace[-1]) == frozenset()
 
     def test_direct_adversary_parent(self):
         g = Graph.from_edges(2, [(0, 1)]).with_added_node([1])
-        cfg = _manual_config(g, 0, {2}, [0, 1, None], [0, 1, 0])
-        assert detect_ill_directed(cfg, 1)
+        snap = _manual_snapshot(g, [0, 1, None], [0, 1, 0])
+        assert ill_directed_set(g, 0, frozenset({2}), snap) == frozenset({1})
 
     def test_grandparent_through_adversary(self):
         # chain r(0) ... 1-2 with 1's parent the adversary 3
         g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([1])
-        cfg = _manual_config(g, 0, {3}, [0, 2, 3, None], [0, 2, 0, 0])
-        assert detect_ill_directed(cfg, 2)
-        assert root_directed_status(cfg, 2) is WalkStatus.ILL
+        snap = _manual_snapshot(g, [0, 2, 3, None], [0, 2, 0, 0])
+        assert ill_directed_set(g, 0, frozenset({3}), snap) == frozenset({1, 2})
+        assert ill_directed_set(g, 0, frozenset({3}), snap, nodes=[0, 2]) == frozenset({2})
+        assert snapshot_status(g, 0, frozenset({3}), snap, 2) is WalkStatus.ILL
 
     def test_orphan_and_loop_reported_distinctly(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-        orphan = _manual_config(g, 0, set(), [0, None, 1, 2], [0, 0, 0, 0])
-        assert root_directed_status(orphan, 1) is WalkStatus.ORPHAN
+        orphan = _manual_snapshot(g, [0, None, 1, 2], [0, 0, 0, 0])
+        assert snapshot_status(g, 0, frozenset(), orphan, 1) is WalkStatus.ORPHAN
         # 2 and 3 point at each other
-        loop = _manual_config(g, 0, set(), [0, 1, 2, 2], [0, 0, 1, 1])
-        assert root_directed_status(loop, 3) is WalkStatus.LOOP
-        assert not detect_ill_directed(loop, 3)
+        loop = _manual_snapshot(g, [0, 1, 2, 2], [0, 0, 1, 1])
+        assert snapshot_status(g, 0, frozenset(), loop, 3) is WalkStatus.LOOP
+        assert ill_directed_set(g, 0, frozenset(), loop) == frozenset()
 
 
 class TestStabilityAndDisturbances:
@@ -169,6 +157,8 @@ class TestStabilityAndDisturbances:
         ]
         assert not detect_stable(snaps, [0, 1])
         assert detect_stable(snaps, [0])
+        assert changed(snaps[0], snaps[1], [1]) and not changed(snaps[0], snaps[1], [0])
+        assert not changed(snaps[1], snaps[2], [0, 1])
         assert count_disturbances(snaps, set()) == 1
         assert count_disturbances(snaps, {1}) == 0
         assert convergence_round(snaps, [0, 1]) == 1
@@ -188,7 +178,10 @@ class TestRealCryptoBackend:
         out = run(RunConfig(graph=path3, root=0, max_rounds=4),
                   backend=Ed25519Backend())
         assert out.trace[-1].levels == (0, 1, 2)
-        assert all(detect_legitimate(out.final, u) for u in range(3))
+        assert all(
+            detect_legitimate(path3, 0, frozenset(), out.final.keys, out.trace[-1], u)
+            for u in range(3)
+        )
 
 
 class TestConsistencyRound:
@@ -197,13 +190,3 @@ class TestConsistencyRound:
         assert consistency_round(Deltas(2, 1, 1), 4) == 6
         assert consistency_round(Deltas(4, 1, 1), 4) == 7
 
-
-class TestTraceDump:
-    def test_csv_shape(self, path3):
-        out = run(RunConfig(graph=path3, root=0, max_rounds=3))
-        buf = io.StringIO()
-        dump_trace(out, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "round,node,level,pid,ill_directed"
-        assert len(lines) == 1 + 4 * 3  # rounds 0..3, three honest nodes
-        assert lines[1].startswith("0,0,")
