@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .graph import INF, Graph, bfs_distances, bfs_distances_avoiding
-from .simcore import RunOutcome, changed, ill_directed_set
+from .simcore import RunOutcome, detect_stable, ill_directed_set
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ def simulated_lost_set(outcome: RunOutcome, window_start_round: int) -> frozense
     if len(window) < 2:
         raise ValueError("trace too short for the requested window")
     honest = outcome.honest
-    pairs = list(zip(window, window[1:]))
-    lost = {u for u in honest if any(changed(a, b, (u,)) for a, b in pairs)}
+    lost = {u for u in honest if not detect_stable(window, (u,))}
     cfg = outcome.cfg
     ill = ill_directed_set(cfg.graph, cfg.root, outcome.final.malicious, window[-1])
     return frozenset(lost | ill)

@@ -746,15 +746,16 @@ def _check_baseline_runs(report, tag, aug, m, root, g_atk, rep, diam, honest,
     viol = report.violations
     strict = rep.baseline_lost
     ties = rep.baseline_ties
-    t0 = diam + 1
-    window = 2 * (diam + 1) + 6
+    # the round allowance comes from the tie nodes' degrees, and the quiet
+    # window has no attack-edge term
     tie_budget = 4 * sum(aug.degree(u) for u in ties) + 8
+    t0, window, max_rounds = _disturb_schedule(diam, 0, tie_budget // 2)
     cfg = RunConfig(
         graph=aug, root=root, protocol=ProtocolKind.BASELINE,
         adversary=AdversaryConfig(AdversaryBehavior.DISTURB, g_atk),
         adversary_node=m,
         seed=derive_seed(master_seed, "base-disturb", idx),
-        max_rounds=min(t0 + tie_budget + window + 60, 4000),
+        max_rounds=max_rounds,
         stability_window=window,
         stability_candidates=frozenset(honest - strict),
     )

@@ -397,19 +397,13 @@ def snapshot_status(
 
 
 def ill_directed_set(
-    g: Graph,
-    root: int,
-    malicious: frozenset[int],
-    snap: Snapshot,
-    nodes: Iterable[int] | None = None,
+    g: Graph, root: int, malicious: frozenset[int], snap: Snapshot
 ) -> frozenset[int]:
-    """The nodes (default: every honest node) whose parent chain runs
-    through a malicious node."""
-    if nodes is None:
-        nodes = (u for u in range(g.n) if u not in malicious)
+    """The honest nodes whose parent chain runs through a malicious node."""
     return frozenset(
-        u for u in nodes
-        if snapshot_status(g, root, malicious, snap, u) is WalkStatus.ILL
+        u for u in range(g.n)
+        if u not in malicious
+        and snapshot_status(g, root, malicious, snap, u) is WalkStatus.ILL
     )
 
 

@@ -126,7 +126,6 @@ class TestDetectIllDirected:
         g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([1])
         snap = _manual_snapshot(g, [0, 2, 3, None], [0, 2, 0, 0])
         assert ill_directed_set(g, 0, frozenset({3}), snap) == frozenset({1, 2})
-        assert ill_directed_set(g, 0, frozenset({3}), snap, nodes=[0, 2]) == frozenset({2})
         assert snapshot_status(g, 0, frozenset({3}), snap, 2) is WalkStatus.ILL
 
     def test_orphan_and_loop_reported_distinctly(self):
