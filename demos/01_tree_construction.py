@@ -3,7 +3,9 @@
 Walks through the core loop: an honest run of the signature-based protocol
 from a cold start, then the same overlay with a level-minimizing adversary
 attached, comparing what the simulator measures against what the analytic
-containment sets predict.
+containment sets predict.  The prediction needs only the honest overlay and
+the attacked nodes; the simulator runs on the overlay with the adversary
+node added.
 """
 
 from spantree import (
@@ -11,12 +13,12 @@ from spantree import (
     AdversaryConfig,
     Deltas,
     RunConfig,
+    attack_victims,
     containment_sets,
     detect_legitimate,
     extract_largest_component,
     generate_erdos_renyi,
     ill_directed_set,
-    place_attack_edges,
     run,
 )
 from spantree.graph import exact_diameter
@@ -41,8 +43,9 @@ def main() -> None:
 
     # attach a collective adversary with five attack edges and let it relay
     # harvested attestations one level short of the truth
-    aug, m = place_attack_edges(g, 5, seed=99)
-    report = containment_sets(aug, root, m)
+    victims = attack_victims(g, 5, seed=99)
+    report = containment_sets(g, root, victims)
+    aug, m = g.with_added_node(victims), g.n
     print(f"\nadversary node {m} at distance {report.adv_root_distance} from the root")
     print(f"analytic containment set ({len(report.containment_set)} nodes):",
           sorted(report.containment_set))

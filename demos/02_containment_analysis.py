@@ -1,17 +1,19 @@
 """How the lost-node ratio scales with the attack budget.
 
-Pure analysis, no protocol execution: three BFS passes per placement give
-the lost sets of both protocols.  Prints a small table comparing the
-baseline formula with the attestation protocol's containment sets across
-attack-edge budgets, averaged over placements and root choices.
+Pure analysis, no protocol execution: per placement, two BFS passes over the
+honest overlay, one from the root and one from the attacked nodes, give the
+lost sets of both protocols; no overlay with the adversary node is built.
+Prints a small table comparing the baseline formula with the attestation
+protocol's containment sets across attack-edge budgets, averaged over
+placements and root choices.
 """
 
 from spantree import (
+    attack_victims,
     containment_sets,
     extract_largest_component,
     generate_erdos_renyi,
     mean_ci99,
-    place_attack_edges,
 )
 from random import Random
 
@@ -25,9 +27,9 @@ def main() -> None:
     for budget in (5, 25, 100, 400):
         base, worst, strict = [], [], []
         for _ in range(30):
-            aug, m = place_attack_edges(g, budget, rng.getrandbits(32))
+            victims = attack_victims(g, budget, rng.getrandbits(32))
             root = rng.randrange(g.n)
-            rep = containment_sets(aug, root, m)
+            rep = containment_sets(g, root, victims)
             # lost-node ratios over the g.n honest nodes
             base.append(len(rep.baseline_lost) / g.n)
             worst.append(len(rep.containment_set) / g.n)

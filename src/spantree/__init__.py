@@ -13,6 +13,7 @@ from .adversary import (
     AdversaryConfig,
     AdversaryState,
     adversary_step,
+    attack_victims,
     place_attack_edges,
 )
 from .analysis import (

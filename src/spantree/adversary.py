@@ -78,13 +78,13 @@ class AdversaryState:
     honest_state: NodeState | None = None
 
 
-def place_attack_edges(g: Graph, num_edges: int, seed: int) -> tuple[Graph, int]:
-    """Attach the collective adversary node with ``num_edges`` attack edges.
+def attack_victims(g: Graph, num_edges: int, seed: int) -> list[int]:
+    """The ``num_edges`` honest nodes the collective adversary attaches to,
+    in ascending order.
 
     Honest neighbors are sampled without replacement with probability
     proportional to their degree (well-connected users are the likelier
-    social-engineering targets).  Returns the augmented graph and the index
-    of the new node.  Deterministic per seed.
+    social-engineering targets).  Deterministic per seed.
     """
     if num_edges < 1:
         raise ValueError("need at least one attack edge")
@@ -103,7 +103,13 @@ def place_attack_edges(g: Graph, num_edges: int, seed: int) -> tuple[Graph, int]
         idx = int(np.searchsorted(cum, r, side="right"))
         if idx < g.n:
             chosen.add(idx)
-    return g.with_added_node(sorted(chosen)), g.n
+    return sorted(chosen)
+
+
+def place_attack_edges(g: Graph, num_edges: int, seed: int) -> tuple[Graph, int]:
+    """The overlay with the adversary attached to ``attack_victims(g,
+    num_edges, seed)``, and the index of the adversary node."""
+    return g.with_added_node(attack_victims(g, num_edges, seed)), g.n
 
 
 def make_adversary_state(

@@ -1,38 +1,47 @@
 """Analytic containment oracles and campaign statistics.
 
-Given an augmented overlay (honest graph plus the collective adversary node
-``m``) and the honest root ``r``, three BFS passes determine everything the
-theory predicts about a run:
+All colluding malicious nodes act as one adversary ``m`` attached to a
+victim set ``V`` of honest nodes.  Two BFS passes over the honest graph, from
+the root ``r`` and from ``V``, give every distance in the overlay with ``m``:
+``d(m, u) = 1 + d_H(V, u)`` and ``d(r, u) = min(d_H(r, u), d(r, m) + d(m, u))``.
+They determine, for an adversary that cheats one level and for one that
+follows the protocol:
 
 * the attested protocol's worst-case lost set against a level-minimizing
-  adversary: nodes whose adversary route (shortened by the one-level cheat)
-  is at most as long as their shortest route to the root;
+  adversary: nodes whose adversary route is at most as long as their
+  shortest route to the root;
 * the smaller set a disturbance-causing adversary can keep unstable: nodes
-  whose cheated adversary route is strictly shorter than their best route to
-  the root over honest nodes only;
-* the baseline protocol's lost set: nodes strictly closer to the adversary
-  than to the root, with equal-distance nodes recorded separately since their
-  outcome depends only on tie-breaking.
+  whose adversary route is strictly shorter than their best route to the
+  root over honest nodes only;
+
+and the baseline protocol's lost set: nodes strictly closer to the adversary
+than to the root, with equal-distance nodes recorded separately since their
+outcome depends only on tie-breaking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .graph import INF, Graph, bfs_distances, bfs_distances_avoiding
+from .graph import Graph, bfs_distances
 from .simcore import RunOutcome, detect_stable, ill_directed_set
 
 
 @dataclass(frozen=True)
 class ContainmentReport:
-    """Analytic per-instance prediction from the three BFS passes."""
+    """Analytic per-instance prediction from the two BFS passes; the
+    ``nocheat_`` sets are those of an adversary without the one-level cheat.
+    The distance arrays cover the honest nodes only."""
 
     containment_set: frozenset[int]
     strict_set: frozenset[int]
+    nocheat_containment_set: frozenset[int]
+    nocheat_strict_set: frozenset[int]
     baseline_lost: frozenset[int]
     baseline_ties: frozenset[int]
     adv_root_distance: int
@@ -45,55 +54,41 @@ class ContainmentReport:
         return 2 * self.deg_sum - len(self.containment_set - self.strict_set)
 
 
-def containment_sets(
-    g: Graph, root: int, adversary: int, cheat: bool = True
-) -> ContainmentReport:
-    """Compute the analytic lost sets for one placement.
+def _members(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def containment_sets(g: Graph, root: int, victims: Sequence[int]) -> ContainmentReport:
+    """Compute the analytic lost sets for one placement: the adversary is
+    attached to ``victims`` of the honest graph ``g``.
 
     With a single collective adversary the closest-malicious-node distance
-    collapses to d(r, m).  ``cheat=False`` drops the one-level shortcut,
-    modeling an adversary that follows the protocol faithfully.
+    collapses to d(r, m).
     """
-    if root == adversary:
-        raise ValueError("the root must be honest")
-    dist_root = bfs_distances(g, [root])
-    dist_adv = bfs_distances(g, [adversary])
-    dist_root_honest = bfs_distances_avoiding(g, root, [adversary])
-    honest = [u for u in range(g.n) if u != adversary]
-    if any(dist_root[u] == INF for u in honest):
+    dist_root_honest = bfs_distances(g, [root])
+    dist_adv = 1 + bfs_distances(g, victims)
+    adv_root_distance = dist_adv[root]
+    via_adv = adv_root_distance + dist_adv  # r -> m -> u, without the cheat
+    dist_root = np.minimum(dist_root_honest, via_adv)
+    if not np.isfinite(dist_root).all():
         raise ValueError("root cannot reach every honest node; no spanning tree exists")
-    if dist_root[adversary] == INF:
-        raise ValueError("adversary is disconnected from the overlay")
-    adv_root_distance = int(dist_root[adversary])
-    offset = 1 if cheat else 0
 
-    s_b = []
-    s_l = []
-    base = []
-    ties = []
-    for u in honest:
-        if u == root:
-            continue
-        via_adv = adv_root_distance + dist_adv[u] - offset
-        if via_adv <= dist_root[u]:
-            s_b.append(u)
-        if via_adv < dist_root_honest[u]:
-            s_l.append(u)
-        if dist_adv[u] < dist_root[u]:
-            base.append(u)
-        elif dist_adv[u] == dist_root[u]:
-            ties.append(u)
-
-    s_b_set = frozenset(s_b)
-    s_l_set = frozenset(s_l)
-    deg_sum = int(sum(g.degree(u) for u in s_b_set - s_l_set))
+    others = np.ones(g.n, dtype=bool)
+    others[root] = False
+    s_b = others & (via_adv - 1 <= dist_root)
+    s_l = others & (via_adv - 1 < dist_root_honest)
+    # the adversary's edge adds one to each victim's degree
+    degrees = g.degrees.copy()
+    degrees[list(victims)] += 1
     return ContainmentReport(
-        containment_set=s_b_set,
-        strict_set=s_l_set,
-        baseline_lost=frozenset(base),
-        baseline_ties=frozenset(ties),
-        adv_root_distance=adv_root_distance,
-        deg_sum=deg_sum,
+        containment_set=_members(s_b),
+        strict_set=_members(s_l),
+        nocheat_containment_set=_members(others & (via_adv <= dist_root)),
+        nocheat_strict_set=_members(others & (via_adv < dist_root_honest)),
+        baseline_lost=_members(others & (dist_adv < dist_root)),
+        baseline_ties=_members(others & (dist_adv == dist_root)),
+        adv_root_distance=int(adv_root_distance),
+        deg_sum=int(degrees[s_b & ~s_l].sum()),
         dist_root=dist_root,
         dist_adv=dist_adv,
     )

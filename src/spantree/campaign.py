@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from random import Random
 
-from .adversary import AdversaryBehavior, AdversaryConfig, place_attack_edges
+from .adversary import AdversaryBehavior, AdversaryConfig, attack_victims
 from .analysis import (
     ContainmentReport,
     containment_sets,
@@ -118,11 +119,12 @@ class CampaignConfig:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; blank lines and '#' comments are
-    ignored, and any other line without '=' is an error."""
+    """Parse flat ``key = value`` lines; blank lines, '#' comment lines and
+    a '#' comment after whitespace are ignored, and any other line without
+    '=' is an error."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+        stripped = re.sub(r"\s#.*", "", line).strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
@@ -202,32 +204,28 @@ def graph_from_spec(spec: str, master_seed: int = 1, lcc: bool = True) -> Graph:
         return load_edge_list(fp, largest_component=lcc).graph
 
 
-def analytic_lost_set(report_cheat: ContainmentReport,
-                      report_nocheat: ContainmentReport,
-                      protocol: str, behavior: str) -> frozenset[int]:
+def analytic_lost_set(report: ContainmentReport, protocol: str,
+                      behavior: str) -> frozenset[int]:
     """Which analytic set the theory assigns to a (protocol, behavior) cell."""
     if protocol == "baseline":
-        return report_cheat.baseline_lost
+        return report.baseline_lost
     if behavior == "cheat":
-        return report_cheat.containment_set
+        return report.containment_set
     if behavior == "disturb":
-        return report_cheat.strict_set
-    return report_nocheat.strict_set  # non-cheating adversary, strict set
+        return report.strict_set
+    return report.nocheat_strict_set  # non-cheating adversary, strict set
 
 
 def _root_and_report(
-    aug: Graph, m: int, honest_n: int, rng: Random, need_nocheat: bool
-) -> tuple[int, ContainmentReport, ContainmentReport | None]:
+    g: Graph, victims: list[int], rng: Random
+) -> tuple[int, ContainmentReport]:
     last_err: Exception | None = None
     for _ in range(10):
-        root = rng.randrange(honest_n)
+        root = rng.randrange(g.n)
         try:
-            rep = containment_sets(aug, root, m, cheat=True)
+            return root, containment_sets(g, root, victims)
         except ValueError as exc:
             last_err = exc
-            continue
-        rep_nc = containment_sets(aug, root, m, cheat=False) if need_nocheat else None
-        return root, rep, rep_nc
     raise ValueError(f"no usable root found after 10 attempts: {last_err}")
 
 
@@ -263,8 +261,9 @@ def simulate_run(
         candidates = honest - strict
     else:
         candidates = honest
-    # containment_sets has checked that every node reaches the root
-    diam_bound = 2 * int(report.dist_root.max())
+    # containment_sets has checked that every node reaches the root;
+    # dist_root covers the honest nodes, adv_root_distance the adversary
+    diam_bound = 2 * max(int(report.dist_root.max()), report.adv_root_distance)
     t0, window, max_rounds = _disturb_schedule(
         diam_bound, g_atk, report.disturbance_budget
     )
@@ -293,7 +292,7 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
 
     All protocols are evaluated on the same sequence of placements and roots
     per (behavior, attack-edge budget) so they are directly comparable; the
-    three distance passes per run are shared between them.
+    two distance passes per run are shared between them.
     """
     base_graph = graph_from_spec(cfg.graph_spec, cfg.master_seed, cfg.lcc)
     honest_n = base_graph.n
@@ -306,19 +305,19 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
         for g_atk in cfg.attack_edges:
             for run_idx in range(cfg.runs):
                 run_seed = derive_seed(cfg.master_seed, behavior, g_atk, run_idx)
-                aug, m = place_attack_edges(
+                victims = attack_victims(
                     base_graph, g_atk, derive_seed(run_seed, "place")
                 )
-                root, rep, rep_nc = _root_and_report(
-                    aug, m, honest_n, Random(derive_seed(run_seed, "root")),
-                    need_nocheat=(behavior == "honest"),
+                root, rep = _root_and_report(
+                    base_graph, victims, Random(derive_seed(run_seed, "root"))
                 )
-                honest = range(honest_n)
-                d_r = float(sum(rep.dist_root[u] for u in honest) / honest_n)
-                d_m = float(sum(rep.dist_adv[u] for u in honest) / honest_n)
+                d_r = float(rep.dist_root.mean())
+                d_m = float(rep.dist_adv.mean())
                 eff = d_m + rep.adv_root_distance - 1.0
+                if not cfg.analytic_only:
+                    aug = base_graph.with_added_node(victims)
                 for protocol in cfg.protocols:
-                    lost = analytic_lost_set(rep, rep_nc or rep, protocol, behavior)
+                    lost = analytic_lost_set(rep, protocol, behavior)
                     row = {
                         "protocol": protocol,
                         "behavior": behavior,
@@ -341,7 +340,7 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                         )
                         deltas = Deltas(delta_c, cfg.delta_d, cfg.delta_e)
                         lost_sim, conv = simulate_run(
-                            aug, m, root, protocol, behavior, g_atk,
+                            aug, honest_n, root, protocol, behavior, g_atk,
                             derive_seed(run_seed, protocol), rep, deltas,
                         )
                         row["rln_simulated"] = len(lost_sim) / honest_n
@@ -472,9 +471,9 @@ def _random_instance(rng: Random, n_lo: int, n_hi: int, g_hi: int):
         if g.n >= max(12, n_lo // 2):
             break
     g_atk = rng.randint(1, min(g_hi, g.n - 1))
-    aug, m = place_attack_edges(g, g_atk, rng.getrandbits(48))
+    victims = attack_victims(g, g_atk, rng.getrandbits(48))
     root = rng.randrange(g.n)
-    return g, aug, m, root, g_atk
+    return g, victims, root, g_atk
 
 
 def oracle_check(
@@ -497,13 +496,12 @@ def oracle_check(
     while report.instances < instances:
         idx += 1
         rng = Random(derive_seed(master_seed, "oracle", idx))
-        base_honest, aug, m, root, g_atk = _random_instance(
+        base_honest, victims, root, g_atk = _random_instance(
             rng, n_range[0], n_range[1], g_range[1]
         )
-        tag = f"inst{idx}(n={aug.n - 1},g={g_atk})"
+        tag = f"inst{idx}(n={base_honest.n},g={g_atk})"
         try:
-            rep = containment_sets(aug, root, m, cheat=True)
-            rep_nc = containment_sets(aug, root, m, cheat=False)
+            rep = containment_sets(base_honest, root, victims)
         except ValueError:
             continue  # disconnected placement; instance skipped deterministically
         report.instances += 1
@@ -512,12 +510,13 @@ def oracle_check(
         # analytic set relations
         if not rep.strict_set <= rep.containment_set:
             viol.append(f"{tag}: strict lost set escapes the containment set")
-        if not rep_nc.containment_set <= rep.containment_set:
+        if not rep.nocheat_containment_set <= rep.containment_set:
             viol.append(f"{tag}: removing the cheat enlarged the containment set")
-        if not rep_nc.strict_set <= rep.strict_set:
+        if not rep.nocheat_strict_set <= rep.strict_set:
             viol.append(f"{tag}: removing the cheat enlarged the strict set")
 
-        honest = frozenset(range(aug.n)) - {m}
+        aug, m = base_honest.with_added_node(victims), base_honest.n
+        honest = frozenset(range(base_honest.n))
         diam = exact_diameter(aug)
         step = 2
         deltas = Deltas((g_atk + 2) * step, 1, 1)
@@ -539,7 +538,7 @@ def oracle_check(
                 break
 
         report.cheat_runs += 1
-        _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
+        _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
                          diam, honest, master_seed, idx)
         report.disturb_runs += 1
         _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
@@ -552,7 +551,7 @@ def oracle_check(
     return report
 
 
-def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
+def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
                      diam, honest, master_seed, idx):
     viol = report.violations
     safe = honest - rep.containment_set
@@ -604,11 +603,11 @@ def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, rep_nc, deltas,
     out_h = run(cfg_h)
     report.honest_runs += 1
     ill_h = ill_directed_set(aug, root, malicious, out_h.trace[-1])
-    if not ill_h <= rep_nc.containment_set:
+    if not ill_h <= rep.nocheat_containment_set:
         viol.append(f"{tag}: non-cheating ill set escapes its containment set")
     if not ill_h <= ill:
         viol.append(f"{tag}: non-cheating adversary misled nodes the cheat did not")
-    if not rep_nc.strict_set <= ill_h:
+    if not rep.nocheat_strict_set <= ill_h:
         viol.append(f"{tag}: non-cheating strict nodes ended well-directed")
 
 
@@ -673,16 +672,17 @@ def consistency_check(
         if g.n < 8:
             continue
         g_atk = rng.randint(1, min(5, g.n - 1))
-        aug, m = place_attack_edges(g, g_atk, rng.getrandbits(48))
+        victims = attack_victims(g, g_atk, rng.getrandbits(48))
         root = rng.randrange(g.n)
         try:
-            containment_sets(aug, root, m)
+            containment_sets(g, root, victims)
         except ValueError:
             continue
         report.instances += 1
+        aug, m = g.with_added_node(victims), g.n
         diam = exact_diameter(aug)
         bound_time = deltas.c + deltas.step * diam
-        tag = f"consistency{idx}(n={aug.n - 1})"
+        tag = f"consistency{idx}(n={g.n})"
         behavior = (
             AdversaryBehavior.CHEAT_MIN_LEVEL if idx % 2 == 0 else AdversaryBehavior.DISTURB
         )

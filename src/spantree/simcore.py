@@ -61,9 +61,6 @@ class Snapshot(NamedTuple):
 class Configuration:
     """Full global snapshot at one round."""
 
-    round: int
-    graph: Graph
-    root: int
     malicious: frozenset[int]
     keys: tuple[bytes, ...]
     node_states: tuple
@@ -231,15 +228,12 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
                 prnts.append(st.prnt)
         return Snapshot(rnd, tuple(levels), tuple(pids), tuple(prnts))
 
-    def full_config(rnd: int) -> Configuration:
+    def full_config() -> Configuration:
         node_states = tuple(
             states[u] if u != m else (adv_state.honest_state if adv_state else None)
             for u in range(n)
         )
         return Configuration(
-            round=rnd,
-            graph=g,
-            root=cfg.root,
             malicious=malicious,
             keys=pubs,
             node_states=node_states,
@@ -283,7 +277,7 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
         prev = trace[-1]
         trace.append(snap)
         if per_round_hook is not None:
-            per_round_hook(rnd, full_config(rnd))
+            per_round_hook(rnd, full_config())
         w = cfg.stability_window
         if w > 0:
             if changed(prev, snap, candidates):
@@ -295,7 +289,7 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
     return RunOutcome(
         cfg=cfg,
         trace=trace,
-        final=full_config(rnd),
+        final=full_config(),
         rounds_executed=rnd,
         stopped_early=stopped_early,
     )

@@ -11,6 +11,7 @@ from spantree import (
     ProtocolKind,
     RunConfig,
     WalkStatus,
+    attack_victims,
     containment_sets,
     ill_directed_set,
     place_attack_edges,
@@ -26,8 +27,7 @@ class TestPlacement:
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         center = leaf = 0
         for seed in range(10_000):
-            aug, m = place_attack_edges(star, 1, seed)
-            chosen = int(aug.neighbors(m)[0])
+            (chosen,) = attack_victims(star, 1, seed)
             if chosen == 0:
                 center += 1
             elif chosen == 1:
@@ -43,6 +43,7 @@ class TestPlacement:
         a, _ = place_attack_edges(triangle, 2, seed=5)
         b, _ = place_attack_edges(triangle, 2, seed=5)
         assert a == b
+        assert a == triangle.with_added_node(attack_victims(triangle, 2, seed=5))
 
     def test_budget_exceeding_honest_count(self, triangle):
         with pytest.raises(ValueError):
@@ -51,23 +52,21 @@ class TestPlacement:
             place_attack_edges(triangle, 0, seed=1)
 
 
-def _relay_instance():
-    """Honest ring where the adversary sits three hops from the root.
+# r(0)-x(1)-y(2) and u(3)-a(4)-b(5)-x(1); the adversary attaches to y and
+# u, three hops from the root, while u has honest distance 4 via u-a-b-x
+_RELAY_GRAPH = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 1)])
+_RELAY_VICTIMS = [2, 3]
 
-    r(0)-x(1)-y(2), attack edges m(6)->{y? no: m attaches to 2 and 3}; the
-    victim u(3) has honest distance 4 via u-a-b-x.
-    """
-    g = Graph.from_edges(
-        6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 1)]
-    )
-    aug = g.with_added_node([2, 3])
-    return aug, 6
+
+def _relay_instance():
+    """The relay overlay with the adversary node attached, and its index."""
+    return _RELAY_GRAPH.with_added_node(_RELAY_VICTIMS), _RELAY_GRAPH.n
 
 
 class TestCheatRelay:
     def test_victim_receives_adversary_root_distance(self):
         aug, m = _relay_instance()
-        rep = containment_sets(aug, 0, m)
+        rep = containment_sets(_RELAY_GRAPH, 0, _RELAY_VICTIMS)
         assert rep.adv_root_distance == 3  # r-x-y-m
         assert 3 in rep.strict_set  # honest distance 4 beats nothing
         cfg = RunConfig(
@@ -91,7 +90,7 @@ class TestCheatRelay:
 
     def test_minimum_delivered_length_is_adversary_root_distance(self):
         aug, m = _relay_instance()
-        rep = containment_sets(aug, 0, m)
+        rep = containment_sets(_RELAY_GRAPH, 0, _RELAY_VICTIMS)
         lengths = []
 
         def hook(rnd, config):
@@ -188,7 +187,7 @@ class TestBaselineAdversary:
         # r(0)-a(1)-b(2)-c(3), adversary on c: strictly closer nodes fall
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         aug = g.with_added_node([3])
-        rep = containment_sets(aug, 0, 4)
+        rep = containment_sets(g, 0, [3])
         assert rep.baseline_lost == frozenset({3})
         assert rep.baseline_ties == frozenset({2})
         cfg = RunConfig(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spantree import (
@@ -9,22 +10,25 @@ from spantree import (
     Deltas,
     Graph,
     RunConfig,
+    attack_victims,
+    bfs_distances,
+    bfs_distances_avoiding,
     containment_sets,
     extract_largest_component,
     generate_erdos_renyi,
     mean_ci99,
-    place_attack_edges,
     run,
     simulated_lost_set,
 )
+from spantree.graph import INF
 
 
 class TestContainmentSets:
     def test_path_with_far_adversary(self):
-        # r(0)-x(1)-y(2)-m(3): the cheat cannot beat honest routes, but the
+        # r(0)-x(1)-y(2)-m: the cheat cannot beat honest routes, but the
         # baseline loses y (strictly closer to m than to r)
-        g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([2])
-        rep = containment_sets(g, 0, 3)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        rep = containment_sets(g, 0, [2])
         assert rep.adv_root_distance == 3
         assert rep.containment_set == frozenset()
         assert rep.strict_set == frozenset()
@@ -33,15 +37,17 @@ class TestContainmentSets:
 
     def test_adversary_bridging_to_tail(self):
         # r(0)-a(1)-b(2) plus attack edges m-r and m-b
-        g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([0, 2])
-        rep = containment_sets(g, 0, 3)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        rep = containment_sets(g, 0, [0, 2])
         assert rep.adv_root_distance == 1
         assert rep.containment_set == frozenset({2})
         assert rep.strict_set == frozenset({2})
+        # without the cheat m offers b level 2, which only ties its honest route
+        assert rep.nocheat_containment_set == frozenset({2})
+        assert rep.nocheat_strict_set == frozenset()
 
     def test_adversary_next_to_root_only(self, triangle):
-        aug = triangle.with_added_node([0])
-        rep = containment_sets(aug, 0, 3)
+        rep = containment_sets(triangle, 0, [0])
         assert rep.strict_set == frozenset()
 
     def test_strict_subset_of_containment_on_random_instances(self):
@@ -50,9 +56,12 @@ class TestContainmentSets:
             g, _ = extract_largest_component(
                 generate_erdos_renyi(40, 80, seed=rng.getrandbits(32))
             )
-            aug, m = place_attack_edges(g, rng.randint(1, 5), rng.getrandbits(32))
-            rep = containment_sets(aug, rng.randrange(g.n), m)
+            victims = attack_victims(g, rng.randint(1, 5), rng.getrandbits(32))
+            rep = containment_sets(g, rng.randrange(g.n), victims)
             assert rep.strict_set <= rep.containment_set
+            assert rep.nocheat_strict_set <= rep.nocheat_containment_set
+            assert rep.nocheat_containment_set <= rep.containment_set
+            assert rep.nocheat_strict_set <= rep.strict_set
             assert all(u < g.n for u in rep.containment_set)
 
     def test_growing_budget_never_shrinks_containment(self):
@@ -62,29 +71,102 @@ class TestContainmentSets:
         for _ in range(10):
             base = rng.sample(nodes, 4)
             extra = base + rng.sample([u for u in nodes if u not in base], 3)
-            small = g.with_added_node(base)
-            big = g.with_added_node(extra)
             root = rng.randrange(g.n)
-            rep_small = containment_sets(small, root, g.n)
-            rep_big = containment_sets(big, root, g.n)
+            rep_small = containment_sets(g, root, base)
+            rep_big = containment_sets(g, root, extra)
             assert rep_small.containment_set <= rep_big.containment_set
 
     def test_unreachable_honest_node_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)]).with_added_node([0])
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            containment_sets(g, 0, 4)
+            containment_sets(g, 0, [0])
 
     def test_reachable_only_through_adversary_is_lost_not_error(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)]).with_added_node([0, 2])
-        rep = containment_sets(g, 0, 4)
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        rep = containment_sets(g, 0, [0, 2])
         assert {2, 3} <= rep.containment_set
 
     def test_disturbance_budget_formula(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([0, 2])
-        rep = containment_sets(g, 0, 3)
+        # r(0)-a(1)-b(2)-c(3) plus attack edges m-a and m-b: the cheat offers
+        # b level 2 and c level 3, ties with their honest routes
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rep = containment_sets(g, 0, [1, 2])
         gap = rep.containment_set - rep.strict_set
-        assert rep.deg_sum == sum(g.degree(u) for u in gap)
+        assert gap == frozenset({2, 3})
+        # degrees in the overlay: b's attack edge counts
+        assert rep.deg_sum == 3 + 1
         assert rep.disturbance_budget == 2 * rep.deg_sum - len(gap)
+
+
+def _three_pass_reference(g, root, victims, cheat):
+    """The containment sets by their definition on the overlay with the
+    adversary node attached: BFS from the root, from the adversary, and from
+    the root avoiding the adversary."""
+    aug, m = g.with_added_node(victims), g.n
+    dist_root = bfs_distances(aug, [root])
+    dist_adv = bfs_distances(aug, [m])
+    dist_root_honest = bfs_distances_avoiding(aug, root, [m])
+    if any(dist_root[u] == INF for u in range(g.n)):
+        raise ValueError("root cannot reach every honest node")
+    if dist_root[m] == INF:
+        raise ValueError("adversary is disconnected from the overlay")
+    d_mr = int(dist_root[m])
+    s_b, s_l, base, ties = set(), set(), set(), set()
+    for u in range(g.n):
+        if u == root:
+            continue
+        via_adv = d_mr + dist_adv[u] - (1 if cheat else 0)
+        if via_adv <= dist_root[u]:
+            s_b.add(u)
+        if via_adv < dist_root_honest[u]:
+            s_l.add(u)
+        if dist_adv[u] < dist_root[u]:
+            base.add(u)
+        elif dist_adv[u] == dist_root[u]:
+            ties.add(u)
+    return dict(
+        containment=s_b, strict=s_l, base=base, ties=ties, d_mr=d_mr,
+        deg_sum=sum(aug.degree(u) for u in s_b - s_l),
+        dist_root=dist_root, dist_adv=dist_adv,
+    )
+
+
+class TestContainmentReference:
+    def test_two_passes_match_three_pass_definition(self):
+        rng = random.Random(2024)
+        compared = disconnected = rejected = 0
+        for _ in range(600):
+            n = rng.randint(2, 40)
+            # sparse enough that many honest graphs are disconnected
+            m_edges = rng.randint(n // 2, min(2 * n, n * (n - 1) // 2))
+            g = generate_erdos_renyi(n, m_edges, rng.getrandbits(32))
+            victims = rng.sample(range(n), rng.randint(1, min(n, 6)))
+            root = rng.randrange(n)
+            try:
+                ref = _three_pass_reference(g, root, victims, cheat=True)
+            except ValueError:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    containment_sets(g, root, victims)
+                continue
+            ref_nc = _three_pass_reference(g, root, victims, cheat=False)
+            rep = containment_sets(g, root, victims)
+            compared += 1
+            if not np.isfinite(bfs_distances(g, [root])).all():
+                disconnected += 1
+            assert rep.containment_set == ref["containment"]
+            assert rep.strict_set == ref["strict"]
+            assert rep.nocheat_containment_set == ref_nc["containment"]
+            assert rep.nocheat_strict_set == ref_nc["strict"]
+            assert rep.baseline_lost == ref["base"]
+            assert rep.baseline_ties == ref["ties"]
+            assert rep.adv_root_distance == ref["d_mr"]
+            assert rep.deg_sum == ref["deg_sum"]
+            assert np.array_equal(rep.dist_root, ref["dist_root"][:n])
+            assert np.array_equal(rep.dist_adv, ref["dist_adv"][:n])
+            # the simulator's diameter bound still sees the adversary node
+            assert max(rep.dist_root.max(), rep.adv_root_distance) == ref["dist_root"].max()
+        assert compared >= 200 and disconnected >= 20 and rejected >= 20
 
 
 class TestMeanCi99:
@@ -115,10 +197,10 @@ class TestSimulatedLostSet:
         assert simulated_lost_set(out, 6) == frozenset()
 
     def test_cheating_adversary_takes_the_containment_set(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)]).with_added_node([0, 2])
-        rep = containment_sets(g, 0, 3)
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        rep = containment_sets(g, 0, [0, 2])
         out = run(RunConfig(
-            graph=g, root=0,
+            graph=g.with_added_node([0, 2]), root=0,
             adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
             adversary_node=3, deltas=Deltas(8, 1, 1), max_rounds=24,
         ))
@@ -136,9 +218,10 @@ class TestSimulatedLostSet:
                 generate_erdos_renyi(50, 100, seed=rng.getrandbits(32))
             )
             g_atk = rng.randint(2, 6)
-            aug, m = place_attack_edges(g, g_atk, rng.getrandbits(32))
+            victims = attack_victims(g, g_atk, rng.getrandbits(32))
             root = rng.randrange(g.n)
-            rep = containment_sets(aug, root, m)
+            rep = containment_sets(g, root, victims)
+            aug, m = g.with_added_node(victims), g.n
             honest = frozenset(range(g.n))
             out = run(RunConfig(
                 graph=aug, root=root,

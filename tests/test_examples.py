@@ -1,11 +1,14 @@
-"""The README's library sketch and the quick demos run as documented
-(demo 04, a full campaign, is left to the command line: it takes ~10 s)."""
+"""The README's library sketch and the quick demos run as documented, and
+its campaign config parses (demo 04 and that campaign are left to the
+command line: they take ~10 s and minutes)."""
 
 import re
 import runpy
 from pathlib import Path
 
 import pytest
+
+from spantree import parse_campaign_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,6 +19,18 @@ def test_readme_library_sketch():
     assert blocks
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_campaign_config_parses():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", text, re.S)
+    cfg = parse_campaign_config(block)
+    assert cfg.graph_spec == "er(63392,824096)"
+    assert cfg.behaviors == ("disturb", "cheat", "honest")
+    assert cfg.attack_edges == (25, 1000)
+    assert cfg.analytic_only and not cfg.timestamp_header and cfg.lcc
+    assert cfg.delta_c is None
+    assert cfg.output == "results.csv"
 
 
 @pytest.mark.parametrize("name", [
