@@ -12,15 +12,17 @@ Validation cost matters (campaigns validate millions of chains), so each
 attestation caches everything that does not depend on the reader or the
 current time: the head key, internal chain-signature validity, a rolling
 digest over the canonical records, and a freshness aggregate.  All caches
-are maintained in O(1) per ``extend``; the canonical serialization itself
-is materialized only on demand.
+are maintained in O(1) per appended tuple.  A node extends its chain toward
+every neighbor in one ``extend_each`` call per round, which computes the
+parts the extensions share once; the canonical serialization itself is
+materialized only on demand.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .crypto import KeyPair, Signature, digest, level_message, link_message
 
@@ -101,6 +103,14 @@ class LevelAttestation:
         ``step`` propagates the freshness aggregate when the parent's cache
         matches.
         """
+        head, chain_ok, exp_step, exp_val = self._next_caches(
+            tup.p, tup.t, backend, step, chain_hint)
+        return LevelAttestation(self.tuples + (tup,), head, chain_ok,
+                                digest(self.digest + _record(tup)), exp_step, exp_val)
+
+    def _next_caches(self, p: bytes, t: int, backend, step, chain_hint):
+        """(head, chain_ok, freshness step, freshness value) of every
+        one-tuple extension by key ``p`` at time ``t``."""
         n = len(self.tuples)
         if n == 0:
             chain_ok = True
@@ -109,23 +119,16 @@ class LevelAttestation:
         else:
             last = self.tuples[-1]
             chain_ok = self.chain_ok and backend.verify(
-                last.p, level_message(tup.p, last.t), last.sig
+                last.p, level_message(p, last.t), last.sig
             )
         exp_step = exp_val = None
         if step is not None:
             if n == 0:
-                exp_step, exp_val = step, tup.t + step
+                exp_step, exp_val = step, t + step
             elif self._exp_step == step:
                 exp_step = step
-                exp_val = min(self._exp_val + step, tup.t + step)  # type: ignore[operator]
-        return LevelAttestation(
-            self.tuples + (tup,),
-            self.head if n else tup.p,
-            chain_ok,
-            digest(self.digest + _record(tup)),
-            exp_step,
-            exp_val,
-        )
+                exp_val = min(self._exp_val + step, t + step)  # type: ignore[operator]
+        return (self.head if n else p), chain_ok, exp_step, exp_val
 
     def expiry_base(self, step: int) -> int:
         """min over positions i of t_i + step*(n-i+1); the chain is fresh at
@@ -178,11 +181,13 @@ class LevelAttestation:
         return f"LevelAttestation(len={len(self.tuples)})"
 
 
-def _record(tup: AttTuple) -> bytes:
+def _record(tup: AttTuple, head: bytes | None = None) -> bytes:
+    """Canonical bytes of one tuple; ``head`` is its key-and-timestamp part
+    when the caller has it already."""
+    if head is None:
+        head = _U32.pack(len(tup.p)) + tup.p + _U64.pack(tup.t)
     blob = tup.sig.to_bytes()
-    return (
-        _U32.pack(len(tup.p)) + tup.p + _U64.pack(tup.t) + _U32.pack(len(blob)) + blob
-    )
+    return head + _U32.pack(len(blob)) + blob
 
 
 _EMPTY = LevelAttestation((), None, True, digest(b""), None, None)
@@ -224,12 +229,41 @@ def extend(
     the neighbor ID the target assigned to the signer.  Extending the empty
     attestation yields a length-1 chain (the root case).
     """
-    sig_lvl = backend.sign(signer.secret, level_message(target_id, ts))
-    ex_att = level_att.appended(
-        AttTuple(signer.public, ts, sig_lvl), backend, step, chain_hint
-    )
-    link_sig = backend.sign(signer.secret, link_message(target_assigned_nid, ex_att.digest))
-    return ex_att, link_sig
+    return extend_each(level_att, signer, ((target_id, target_assigned_nid),),
+                       ts, backend, step, chain_hint)[0]
+
+
+def extend_each(
+    level_att: LevelAttestation,
+    signer: KeyPair,
+    targets: Iterable[tuple[bytes | None, bytes | None]],
+    ts: int,
+    backend,
+    step: int | None = None,
+    chain_hint: bool | None = None,
+) -> list[tuple[LevelAttestation, Signature]]:
+    """``extend`` toward each (target ID, target-assigned neighbor ID) pair
+    of ``targets``, in order.
+
+    The chain head, ``chain_ok``, the freshness aggregate and the record's
+    key-and-timestamp part are the same for every target and are computed
+    once; each target costs two signatures and one digest.
+    """
+    pub, secret = signer.public, signer.secret
+    head, chain_ok, exp_step, exp_val = level_att._next_caches(
+        pub, ts, backend, step, chain_hint)
+    tuples, prev = level_att.tuples, level_att.digest
+    rec_head = _U32.pack(len(pub)) + pub + _U64.pack(ts)
+    sign = backend.sign
+    out = []
+    for target_id, nid in targets:
+        tup = AttTuple(pub, ts, sign(secret, level_message(target_id, ts)))
+        dig = digest(prev + _record(tup, rec_head))
+        out.append((
+            LevelAttestation(tuples + (tup,), head, chain_ok, dig, exp_step, exp_val),
+            sign(secret, link_message(nid, dig)),
+        ))
+    return out
 
 
 def is_valid_att(

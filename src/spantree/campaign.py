@@ -651,94 +651,104 @@ def consistency_check(
     """Adversarial-start expiry oracle.
 
     From an arbitrary configuration whose stale chains are stamped no later
-    than the clock-skew bound past the start, stale material (chains whose
-    every timestamp predates that bound) must obey two facts wherever it
-    appears in a register or a node variable: a stale chain of length n is
-    invalid once simulated time exceeds skew + per-hop-budget * n, and no
-    stale valid-but-inconsistent chain exists past skew + per-hop-budget *
-    diameter.  Honest nodes may re-extend not-yet-expired stale material
-    (the extensions carry fresh timestamps and their own, longer budgets),
-    which is why the guarantee is stated over the stale values themselves.
+    than the clock-skew bound c past the start, stale material (chains whose
+    every timestamp is at most c) must obey two facts wherever it appears in
+    a register or a node variable: every stale chain is invalid once
+    simulated time exceeds 2c + per-hop-budget (its last tuple alone gives
+    an expiry base of at most c + per-hop-budget, and validity allows c
+    more), and no stale valid-but-inconsistent chain exists past c +
+    per-hop-budget * diameter.  Honest nodes may re-extend not-yet-expired
+    stale material (the extensions carry fresh timestamps and their own,
+    longer budgets), which is why the guarantee is stated over the stale
+    values themselves.
     """
     t_begin = time.perf_counter()
     report = OracleReport()
     idx = -1
     while report.instances < instances:
         idx += 1
-        rng = Random(derive_seed(master_seed, "consistency", idx))
-        n = rng.randint(16, max_n)
-        g = generate_erdos_renyi(n, int(n * rng.uniform(1.3, 2.5)), rng.getrandbits(48))
-        g, _ = extract_largest_component(g)
-        if g.n < 8:
-            continue
-        g_atk = rng.randint(1, min(5, g.n - 1))
-        victims = attack_victims(g, g_atk, rng.getrandbits(48))
-        root = rng.randrange(g.n)
-        try:
-            containment_sets(g, root, victims)
-        except ValueError:
-            continue
-        report.instances += 1
-        aug, m = g.with_added_node(victims), g.n
-        diam = exact_diameter(aug)
-        bound_time = deltas.c + deltas.step * diam
-        tag = f"consistency{idx}(n={g.n})"
-        behavior = (
-            AdversaryBehavior.CHEAT_MIN_LEVEL if idx % 2 == 0 else AdversaryBehavior.DISTURB
-        )
-        cfg = RunConfig(
-            graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
-            adversary=AdversaryConfig(behavior, g_atk),
-            adversary_node=m, deltas=deltas,
-            init_mode=InitMode.ADVERSARIAL,
-            seed=derive_seed(master_seed, "run", idx),
-            max_rounds=consistency_round(deltas, diam) + diam + 6,
-        )
-
-        # per instance: after its first violation an instance is not checked
-        # further, but the next instance is
-        violations: list[str] = []
-
-        def check_att(att, reader, reader_id, where, rnd, now, directory, config):
-            if not att.tuples or max(t.t for t in att.tuples) > deltas.c:
-                return  # carries fresh signatures; not the stale material
-            n_att = len(att.tuples)
-            if now > deltas.c + deltas.step * n_att and is_valid_att(
-                att, reader_id, config.keys[root], now, deltas, None, MODEL
-            ):
-                violations.append(
-                    f"{tag}: stale chain of length {n_att} still valid in "
-                    f"{where} at round {rnd} (time {now})"
-                )
-            elif now > bound_time and not is_consistent(
-                att, aug, directory, reader, config.malicious,
-                reader_id, config.keys[root], now, deltas, MODEL,
-            ):
-                violations.append(
-                    f"{tag}: stale inconsistent chain alive in {where} "
-                    f"at round {rnd} (time {now} > {bound_time})"
-                )
-
-        def check_round(rnd: int, config) -> None:
-            if violations:
-                return
-            now = rnd * deltas.step
-            directory = {config.keys[u]: u for u in range(aug.n)}
-            for u in range(aug.n):
-                for k, v in enumerate(aug.neighbor_lists[u]):
-                    reg = config.registers[u][k]
-                    if reg.att is not None:
-                        check_att(reg.att, v, config.keys[v], f"register {u}->{v}",
-                                  rnd, now, directory, config)
-                st = config.node_states[u]
-                if st is not None and len(st.level_att) > 0:
-                    check_att(st.level_att, u, config.keys[u], f"node {u}",
-                              rnd, now, directory, config)
-
-        run(cfg, per_round_hook=check_round)
-        report.violations.extend(violations)
+        violations = _consistency_instance(idx, master_seed, max_n, deltas)
+        if violations is not None:
+            report.instances += 1
+            report.violations.extend(violations)
     report.elapsed_seconds = time.perf_counter() - t_begin
     return report
+
+
+def _consistency_instance(
+    idx: int, master_seed: int, max_n: int, deltas: Deltas
+) -> list[str] | None:
+    """Violations of instance ``idx`` of ``consistency_check`` (checking
+    stops at the first), or None when the drawn instance is skipped."""
+    rng = Random(derive_seed(master_seed, "consistency", idx))
+    n = rng.randint(16, max_n)
+    g = generate_erdos_renyi(n, int(n * rng.uniform(1.3, 2.5)), rng.getrandbits(48))
+    g, _ = extract_largest_component(g)
+    if g.n < 8:
+        return None
+    g_atk = rng.randint(1, min(5, g.n - 1))
+    victims = attack_victims(g, g_atk, rng.getrandbits(48))
+    root = rng.randrange(g.n)
+    try:
+        containment_sets(g, root, victims)
+    except ValueError:
+        return None
+    aug, m = g.with_added_node(victims), g.n
+    diam = exact_diameter(aug)
+    bound_time = deltas.c + deltas.step * diam
+    stale_expiry = 2 * deltas.c + deltas.step
+    tag = f"consistency{idx}(n={g.n})"
+    behavior = (
+        AdversaryBehavior.CHEAT_MIN_LEVEL if idx % 2 == 0 else AdversaryBehavior.DISTURB
+    )
+    cfg = RunConfig(
+        graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
+        adversary=AdversaryConfig(behavior, g_atk),
+        adversary_node=m, deltas=deltas,
+        init_mode=InitMode.ADVERSARIAL,
+        seed=derive_seed(master_seed, "run", idx),
+        max_rounds=consistency_round(deltas, diam) + diam + 6,
+    )
+
+    violations: list[str] = []
+
+    def check_att(att, reader, reader_id, where, rnd, now, directory, config):
+        if not att.tuples or max(t.t for t in att.tuples) > deltas.c:
+            return  # carries fresh signatures; not the stale material
+        if now > stale_expiry and is_valid_att(
+            att, reader_id, config.keys[root], now, deltas, None, MODEL
+        ):
+            violations.append(
+                f"{tag}: stale chain of length {len(att)} still valid in "
+                f"{where} at round {rnd} (time {now})"
+            )
+        elif now > bound_time and not is_consistent(
+            att, aug, directory, reader, config.malicious,
+            reader_id, config.keys[root], now, deltas, MODEL,
+        ):
+            violations.append(
+                f"{tag}: stale inconsistent chain alive in {where} "
+                f"at round {rnd} (time {now} > {bound_time})"
+            )
+
+    def check_round(rnd: int, config) -> None:
+        if violations:
+            return
+        now = rnd * deltas.step
+        directory = {config.keys[u]: u for u in range(aug.n)}
+        for u in range(aug.n):
+            for k, v in enumerate(aug.neighbor_lists[u]):
+                reg = config.registers[u][k]
+                if reg.att is not None:
+                    check_att(reg.att, v, config.keys[v], f"register {u}->{v}",
+                              rnd, now, directory, config)
+            st = config.node_states[u]
+            if st is not None and len(st.level_att) > 0:
+                check_att(st.level_att, u, config.keys[u], f"node {u}",
+                          rnd, now, directory, config)
+
+    run(cfg, per_round_hook=check_round)
+    return violations
 
 
 def _check_baseline_runs(report, tag, aug, m, root, g_atk, rep, diam, honest,

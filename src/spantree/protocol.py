@@ -16,10 +16,10 @@ pointer to itself, and outputs that every reader rejects.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
-from .attestation import Deltas, LevelAttestation, extend, is_valid_att, is_valid_link
+from .attestation import Deltas, LevelAttestation, extend_each, is_valid_att, is_valid_link
 from .crypto import KeyPair, Signature
 
 NID_BYTES = 8
@@ -35,8 +35,7 @@ class InitMode(enum.Enum):
     ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True, slots=True)
-class RegisterContent:
+class RegisterContent(NamedTuple):
     """One shared register: what a writer last published toward one neighbor.
 
     ``nid`` is the neighbor ID the writer assigned to the reader.  The
@@ -51,11 +50,7 @@ class RegisterContent:
     link_sig: Signature | None = None
 
 
-EMPTY_REGISTER = RegisterContent()
-
-
-@dataclass(frozen=True, slots=True)
-class NodeState:
+class NodeState(NamedTuple):
     """One honest node's protocol variables."""
 
     keys: KeyPair
@@ -204,35 +199,21 @@ def step_honest_attested(
                 state.assigned_nids, False,
             )
 
-    outputs: list[RegisterContent] = []
+    nids = new.assigned_nids
     if new.level is None:
-        for k in range(deg):
-            outputs.append(RegisterContent(id=my_id, nid=new.assigned_nids[k]))
+        return new, [RegisterContent(id=my_id, nid=nid) for nid in nids]
+    att = new.level_att
+    if att.tuples:
+        # the previous-hop signature check is identical for every
+        # neighbor: it binds this node's own key (same check as the
+        # reader-binding condition evaluated when the chain was adopted)
+        chain_hint = att.chain_ok and att.binds_reader(my_id, backend)
     else:
-        att = new.level_att
-        if att.tuples:
-            # the previous-hop signature check is identical for every
-            # neighbor: it binds this node's own key (same check as the
-            # reader-binding condition evaluated when the chain was adopted)
-            chain_hint = att.chain_ok and att.binds_reader(my_id, backend)
-        else:
-            chain_hint = True
-        step = deltas.step
-        for k in range(deg):
-            ex_att, link_sig = extend(
-                att, new.keys, inputs[k].id, inputs[k].nid, now, backend,
-                step=step, chain_hint=chain_hint,
-            )
-            outputs.append(
-                RegisterContent(
-                    id=my_id,
-                    level=new.level,
-                    att=ex_att,
-                    nid=new.assigned_nids[k],
-                    link_sig=link_sig,
-                )
-            )
-    return new, outputs
+        chain_hint = True
+    extended = extend_each(att, new.keys, [(reg.id, reg.nid) for reg in inputs],
+                           now, backend, deltas.step, chain_hint)
+    return new, [RegisterContent(my_id, new.level, ex_att, nid, link_sig)
+                 for (ex_att, link_sig), nid in zip(extended, nids)]
 
 
 def step_honest_baseline(

@@ -9,11 +9,19 @@ from spantree.attestation import (
     LevelAttestation,
     attestation_from_bytes,
     extend,
+    extend_each,
     is_consistent,
     is_valid_att,
     is_valid_link,
 )
-from spantree.crypto import MODEL, ModelBackend, digest, level_message
+from spantree.crypto import (
+    MODEL,
+    Ed25519Backend,
+    ModelBackend,
+    digest,
+    level_message,
+    link_message,
+)
 
 DELTAS = Deltas(1, 1, 1)
 STEP = DELTAS.step
@@ -173,6 +181,56 @@ class TestSerialization:
         sig = MODEL.sign(kp.secret, b"msg")
         expected = struct.pack(">I", len(kp.public)) + kp.public + digest(b"msg")
         assert sig.to_bytes() == expected
+
+
+def _extend_reference(att, signer, target_id, nid, ts, backend, step, chain_hint):
+    """One extension spelled out from the primitives: level signature,
+    appended tuple, link signature over the new digest."""
+    sig = backend.sign(signer.secret, level_message(target_id, ts))
+    ex = att.appended(AttTuple(signer.public, ts, sig), backend, step, chain_hint)
+    return ex, backend.sign(signer.secret, link_message(nid, ex.digest))
+
+
+class TestExtendEach:
+    """The per-node writer equals one reference extension per target."""
+
+    @pytest.mark.parametrize("backend", [MODEL, Ed25519Backend()], ids=["model", "ed25519"])
+    @pytest.mark.parametrize("base_len,hinted", [(0, True), (3, True), (3, False)])
+    @pytest.mark.parametrize("step", [STEP, None])
+    def test_matches_reference_per_target(self, backend, base_len, hinted, step):
+        keys = [backend.keygen(40 + i) for i in range(base_len + 4)]
+        att = LevelAttestation.empty()
+        for j in range(base_len):
+            att, _ = extend(att, keys[j], keys[j + 1].public, b"n" * 8, j * STEP,
+                            backend, step=STEP)
+        signer = keys[base_len]
+        if not hinted:
+            chain_hint = None
+        elif att.tuples:
+            chain_hint = att.chain_ok and att.binds_reader(signer.public, backend)
+        else:
+            chain_hint = True
+        targets = [(keys[-1].public, b"a" * 8), (None, None), (keys[-2].public, b"b" * 8)]
+        ts = (base_len + 1) * STEP
+        fused = extend_each(att, signer, targets, ts, backend, step, chain_hint)
+        single = [extend(att, signer, tid, nid, ts, backend, step, chain_hint)
+                  for tid, nid in targets]
+        ref = [_extend_reference(att, signer, tid, nid, ts, backend, step, chain_hint)
+               for tid, nid in targets]
+        assert len(fused) == len(targets)
+        for got, one, want in zip(fused, single, ref):
+            for (ex, link) in (got, one):
+                assert ex.tuples == want[0].tuples
+                assert ex.digest == want[0].digest
+                assert ex.to_bytes() == want[0].to_bytes()
+                assert ex.head == want[0].head == keys[0].public
+                assert ex.chain_ok is want[0].chain_ok is True
+                assert (ex._exp_step, ex._exp_val) == (want[0]._exp_step, want[0]._exp_val)
+                assert link.to_bytes() == want[1].to_bytes()
+        reader = keys[-1].public
+        assert is_valid_att(fused[0][0], reader, keys[0].public, ts, DELTAS,
+                            base_len + 1, backend)
+        assert is_valid_link(fused[0][0], b"a" * 8, fused[0][1], backend)
 
 
 class TestConsistency:

@@ -1,9 +1,11 @@
+import hashlib
 import re
 
 import pytest
 
 from spantree import (
     CampaignConfig,
+    Deltas,
     campaign_csv,
     derive_seed,
     generate_degree_skewed,
@@ -12,6 +14,7 @@ from spantree import (
     report_table1,
     run_campaign,
 )
+from spantree import campaign
 from spantree.campaign import CSV_COLUMNS
 from spantree.cli import main as cli_main
 
@@ -228,6 +231,46 @@ class TestConsistencyOracle:
         rep = consistency_check(instances=20, master_seed=7)
         tags = {re.match(r"consistency(\d+)\(", v).group(1) for v in rep.violations}
         assert len(tags) > 1
+
+    def test_stale_chain_valid_until_twice_the_skew(self):
+        # instance 158 of seed 7 holds a stale length-1 chain that is still
+        # valid at time 4 = 2c + step, which the old threshold c + step * 1
+        # reported as a violation
+        from spantree.campaign import _consistency_instance
+
+        assert _consistency_instance(158, 7, 100, Deltas(1, 1, 1)) == []
+
+
+# SHA-256 of the simulated behaviour hashed below, recorded before the
+# attested round loop was fused for speed.  Any change to a simulated byte
+# changes it; a performance change must leave it as it is.
+BEHAVIOUR_FINGERPRINT = "ce1642220a0875ac1731f6e432152af8c27ff4b83592d295e1cff9b578e94f01"
+
+
+class TestBehaviourFingerprint:
+    def test_fixed_seed_runs_unchanged(self, monkeypatch):
+        # every Snapshot of every run, and each run's final register chain
+        # digests and link signatures, for the first 3 criterion-1 oracle
+        # instances and the first 5 criterion-3 consistency instances
+        h = hashlib.sha256()
+        real_run = campaign.run
+
+        def recording_run(cfg, *args, **kwargs):
+            out = real_run(cfg, *args, **kwargs)
+            for snap in out.trace:
+                h.update(repr(tuple(snap)).encode())
+            for row in out.final.registers:
+                for reg in row:
+                    h.update(repr((
+                        reg.att.digest if reg.att is not None else None,
+                        reg.link_sig.to_bytes() if reg.link_sig is not None else None,
+                    )).encode())
+            return out
+
+        monkeypatch.setattr(campaign, "run", recording_run)
+        assert campaign.oracle_check(3, 20240601).violations == []
+        assert campaign.consistency_check(5, 7).violations == []
+        assert h.hexdigest() == BEHAVIOUR_FINGERPRINT
 
 
 class TestCli:

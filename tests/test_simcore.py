@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from spantree import (
@@ -84,6 +86,43 @@ class TestScheduler:
     def test_max_rounds_validation(self, triangle):
         with pytest.raises(ValueError):
             RunConfig(graph=triangle, root=0, max_rounds=0)
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, path3, enabled):
+        def failing_hook(rnd, config):
+            assert not gc.isenabled()
+            raise RuntimeError("hook failed")
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run(RunConfig(graph=path3, root=0, max_rounds=3))
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="hook failed"):
+                run(RunConfig(graph=path3, root=0, max_rounds=3),
+                    per_round_hook=failing_hook)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_attested_cheat_run_makes_no_cycles(self):
+        # the pause is safe only while reference counting frees everything
+        # a run allocates
+        g, _ = extract_largest_component(generate_erdos_renyi(30, 60, seed=5))
+        aug = g.with_added_node([0, 1])
+        cfg = RunConfig(
+            graph=aug, root=2,
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary_node=aug.n - 1, max_rounds=12,
+        )
+        hooked = []
+        gc.collect()
+        out = run(cfg, per_round_hook=lambda rnd, config: hooked.append(len(config.registers)))
+        assert hooked == [aug.n] * 12
+        del out
+        assert gc.collect() == 0
 
 
 class TestDetectLegitimate:
