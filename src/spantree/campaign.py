@@ -186,9 +186,11 @@ def graph_from_spec(spec: str, master_seed: int = 1, lcc: bool = True) -> Graph:
     """
     spec = spec.strip()
     if spec.startswith("er(") and spec.endswith(")"):
-        inner = spec[3:-1]
-        n_str, m_str = inner.split(",")
-        g = generate_erdos_renyi(int(n_str), int(m_str), derive_seed(master_seed, "er"))
+        try:
+            n, m = (int(x) for x in spec[3:-1].split(","))
+        except ValueError:
+            raise ValueError(f"er(N,M) expects two integers, got {spec!r}") from None
+        g = generate_erdos_renyi(n, m, derive_seed(master_seed, "er"))
         if lcc:
             g, _ = extract_largest_component(g)
         return g

@@ -9,6 +9,7 @@ parent-preference indices.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,30 +42,19 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build from an edge iterable; self-loops and duplicates are dropped."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        return cls._from_edge_array(n, arr)
+        return cls._from_edge_array(n, arr.reshape(-1, 2))
 
     @classmethod
     def _from_edge_array(cls, n: int, arr: np.ndarray) -> "Graph":
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        if arr.size:
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            keep = lo != hi
-            lo, hi = lo[keep], hi[keep]
-            packed = np.unique(lo * n + hi)
-            lo, hi = packed // n, packed % n
-            src = np.concatenate([lo, hi])
-            dst = np.concatenate([hi, lo])
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(n, indptr, dst.astype(np.int64))
+        u, v = arr[arr[:, 0] != arr[:, 1]].T  # self-loops dropped
+        # one sort of the packed (row, column) keys of both directions is the CSR
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n)
 
     def with_added_node(self, neighbors: Sequence[int]) -> "Graph":
         """Return a new graph with one extra node attached to ``neighbors``."""
@@ -109,7 +99,8 @@ class Graph:
 
     @cached_property
     def _csr(self) -> csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.int8)
+        # float64, the dtype scipy.sparse.csgraph would otherwise copy to per call
+        data = np.ones(len(self.indices), dtype=np.float64)
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def __eq__(self, other) -> bool:
@@ -206,15 +197,49 @@ def extract_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     return sub, kept
 
 
+def _sample_range(rng: random.Random, population: int, k: int) -> np.ndarray:
+    """``rng.sample(range(population), k)`` as an int64 array, draw for draw.
+
+    In CPython's set branch each pick is one 32-bit word shifted down to
+    ``bits``, redrawn while ``>= population`` or already picked; for
+    ``bits <= 32`` the words are drawn in bulk and the first ``k`` distinct
+    in-range values are kept in draw order.  Other cases call ``rng.sample``.
+    """
+    bits = population.bit_length()
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if population <= setsize or bits > 32:
+        return np.asarray(rng.sample(range(population), k), dtype=np.int64)
+    # expected draws for k distinct in-range picks, 1% spare; top up if short
+    count = int(2**bits * math.log(population / (population - k)) * 1.01) + 64
+    words = np.empty(0, dtype="<u4")
+    while True:
+        drawn = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        words = np.concatenate([words, np.frombuffer(drawn, "<u4") >> (32 - bits)])
+        vals = words[words < population].astype(np.int64)
+        # first occurrences in draw order: sort (value, position) packed in one int64
+        shift = max(vals.size - 1, 1).bit_length()
+        packed = np.sort((vals << shift) | np.arange(vals.size))
+        first = np.sort(packed[np.diff(packed >> shift, prepend=-1) != 0] & ((1 << shift) - 1))
+        if first.size >= k:
+            return vals[first[:k]]
+
+
 def generate_erdos_renyi(n: int, m: int, seed: int) -> Graph:
-    """Uniform G(n, M): exactly ``m`` distinct edges, deterministic per seed."""
+    """Uniform G(n, M): exactly ``m`` distinct edges, deterministic per seed.
+
+    The edges are exactly the upper-triangular pair ids that
+    ``random.Random(seed).sample(range(n*(n-1)//2), m)`` picks; ``_sample_range``
+    mirrors CPython's set branch to draw them in bulk, without a Python set.
+    """
     if n < 1:
         raise ValueError("need at least one node")
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
     max_edges = n * (n - 1) // 2
     if m > max_edges:
         raise ValueError(f"{m} edges exceed the maximum {max_edges} for n={n}")
-    picks = random.Random(seed).sample(range(max_edges), m)
-    ids = np.asarray(picks, dtype=np.int64)
+    # sorted, so that the row lookup below walks ``offsets`` in order
+    ids = np.sort(_sample_range(random.Random(seed), max_edges, m))
     # row offsets of the upper-triangular pair enumeration
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * n - rows * (rows + 1) // 2
@@ -295,7 +320,7 @@ def bfs_distances_avoiding(g: Graph, source: int, forbidden: Iterable[int]) -> n
     counts = np.bincount(src_ids[keep], minlength=g.n)
     sub_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     sub = csr_matrix(
-        (np.ones(len(sub_indices), dtype=np.int8), sub_indices, sub_indptr),
+        (np.ones(len(sub_indices), dtype=np.float64), sub_indices, sub_indptr),
         shape=(g.n, g.n),
     )
     return dijkstra(sub, directed=True, unweighted=True, indices=[source], min_only=True)
@@ -303,7 +328,7 @@ def bfs_distances_avoiding(g: Graph, source: int, forbidden: Iterable[int]) -> n
 
 def triangle_counts(g: Graph, block: int = 2048) -> np.ndarray:
     """Per-node triangle counts via block-wise sparse products."""
-    a = g._csr.astype(np.float64)
+    a = g._csr
     tri = np.zeros(g.n, dtype=np.float64)
     for start in range(0, g.n, block):
         stop = min(start + block, g.n)
@@ -325,6 +350,8 @@ def metrics(
     coefficient is the mean local coefficient over all nodes, with nodes of
     degree < 2 contributing zero.
     """
+    if sample_sources is not None and sample_sources < 1:
+        raise ValueError(f"sample_sources must be at least 1, got {sample_sources}")
     if sample_sources is None or sample_sources >= g.n:
         sources = list(range(g.n))
         exact = True

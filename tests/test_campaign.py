@@ -294,6 +294,18 @@ class TestCli:
         assert "nodes:    3" in out
         assert "cpl:      1.0000" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["metrics", "er(50,100)", "--sample-sources", "0"], "sample_sources must be at least 1"),
+        (["metrics", "er(5,3,2)"], "er(N,M) expects two integers"),
+        (["metrics", "er(5,x)"], "er(N,M) expects two integers"),
+        (["metrics", "er(5,-3)"], "non-negative"),
+    ])
+    def test_metrics_bad_input_exits_2(self, capsys, argv, message):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
     def test_oracle_check_subcommand(self, capsys):
         assert cli_main(["oracle-check", "--instances", "3", "--seed", "5"]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -18,6 +19,8 @@ from spantree.graph import (
     metrics,
     randomize_preserving_degrees,
 )
+from spantree.campaign import graph_from_spec
+from spantree.graph import _sample_range
 
 INF = float("inf")
 
@@ -84,6 +87,41 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             generate_erdos_renyi(4, 7, seed=1)
 
+    def test_negative_edge_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_erdos_renyi(100, -1, seed=1)
+
+    @pytest.mark.parametrize("population,k", [
+        (2**24 + 1, 2000),  # set branch, about half the draws rejected
+        (2**24 + 1, 0),
+        (2**24 + 1, 1),
+        (2**24 + 1, 6),
+        (2**32 - 1, 3000),  # 32-bit draws, no shift
+        (2**32 - 5, 6),
+        (16406, 5461),  # set branch at its densest: k just under population/3
+        (65558, 5462),
+        (1000, 400),  # pool branch
+        (85, 6),  # pool branch: population == setsize
+        (2**32, 50),  # 33-bit draws
+        (2**40, 1000),
+    ])
+    def test_bulk_sample_equals_random_sample(self, population, k):
+        for seed in (0, 1, 12345):
+            expected = random.Random(seed).sample(range(population), k)
+            got = _sample_range(random.Random(seed), population, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
+
+    def test_evaluation_graph_pinned(self):
+        """Criterion 6's graph, hashed before the one-sort CSR build and the
+        bulk sampler replaced np.unique, lexsort and the Python-level sample."""
+        g = graph_from_spec("er(63392,824096)", 1)
+        assert (g.n, g.indptr.dtype, g.indices.dtype) == (63392, np.int64, np.int64)
+        assert hashlib.sha256(g.indptr.tobytes()).hexdigest() == (
+            "e7a795a3bd1f01be78cfd2b9f5fc91601b4ca2a933ab4acfa537e922ecf68ffa")
+        assert hashlib.sha256(g.indices.tobytes()).hexdigest() == (
+            "5fe95fef24d0c3ff1db94901f55a652db78ff879f64b663a38ee4661d54ecc82")
+
     def test_symmetry_invariant(self):
         rng = random.Random(1)
         for _ in range(10):
@@ -97,6 +135,43 @@ class TestErdosRenyi:
         for u in range(g.n):
             nbrs = g.neighbors(u)
             assert list(nbrs) == sorted(nbrs)
+
+
+def reference_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of ``Graph.from_edges`` spelled out: a set of undirected pairs,
+    then each node's sorted neighbour list."""
+    pairs = {(min(a, b), max(a, b)) for a, b in edges if a != b}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    indptr = np.array([0] + list(itertools.accumulate(len(x) for x in nbrs)), dtype=np.int64)
+    indices = np.array([v for x in nbrs for v in sorted(x)], dtype=np.int64)
+    return indptr, indices
+
+
+class TestFromEdges:
+    def test_matches_reference(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            # self-loops, duplicates and both orientations of the same pair
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+            edges += [(b, a) for a, b in edges[: len(edges) // 3]]
+            g = Graph.from_edges(n, edges)
+            indptr, indices = reference_csr(n, edges)
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+
+    def test_empty(self):
+        g = Graph.from_edges(4, [])
+        assert g.indptr.tolist() == [0, 0, 0, 0, 0]
+        assert g.indices.size == 0 and g.indices.dtype == np.int64
+
+    def test_out_of_range_endpoint(self):
+        with pytest.raises(ValueError):
+            Graph.from_edges(3, [(0, 3)])
 
 
 class TestDegreePreservingRandomization:
@@ -221,6 +296,11 @@ class TestMetrics:
             assert m.diameter >= m.characteristic_path_length >= 1.0
             assert 0.0 <= m.clustering_coefficient <= 1.0
             assert m.diameter == exact_diameter(g)
+
+    @pytest.mark.parametrize("sources", [0, -1])
+    def test_sample_sources_below_one_rejected(self, sources):
+        with pytest.raises(ValueError, match="sample_sources"):
+            metrics(generate_erdos_renyi(50, 100, seed=1), sample_sources=sources)
 
     def test_sampled_flags_lower_bound(self):
         g = generate_erdos_renyi(200, 500, seed=8)
