@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .graph import Graph, bfs_distances
 from .simcore import RunOutcome, detect_stable, ill_directed_set
@@ -102,7 +102,8 @@ def mean_ci99(samples) -> tuple[float, float]:
     n = len(vals)
     mean = sum(vals) / n
     var = sum((x - mean) ** 2 for x in vals) / (n - 1)
-    half = float(stats.t.ppf(0.995, n - 1)) * math.sqrt(var / n)
+    # stdtrit is the routine stats.t.ppf calls; importing scipy.stats is slow
+    half = float(stdtrit(n - 1, 0.995)) * math.sqrt(var / n)
     return mean, half
 
 

@@ -20,6 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 INF = float("inf")
+_TRIANGLE_BLOCK = 2048  # rows per sparse product in triangle_counts
+_GATHER_WORDS = 1 << 18  # uint64 words gathered per BFS level: 2 MB, larger ran slower
 
 
 class GraphFormatError(ValueError):
@@ -180,14 +182,15 @@ def extract_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Return (subgraph, kept-node indices) for the largest component.
 
     Kept nodes are re-indexed preserving their relative order, so results are
-    deterministic.  Ties between equally large components go to the lowest
-    component label.
+    deterministic.  Ties between equally large components go to the one
+    holding the lowest node.
     """
-    ncomp, labels = connected_components(g._csr, directed=False)
+    # strong components of the symmetric CSR are its components, without a transpose
+    ncomp, labels = connected_components(g._csr, directed=True, connection="strong")
     if ncomp <= 1:
         return g, np.arange(g.n)
     sizes = np.bincount(labels)
-    best = int(np.argmax(sizes))
+    best = labels[np.argmax(sizes[labels] == sizes.max())]
     kept = np.flatnonzero(labels == best)
     remap = -np.ones(g.n, dtype=np.int64)
     remap[kept] = np.arange(kept.size)
@@ -326,16 +329,61 @@ def bfs_distances_avoiding(g: Graph, source: int, forbidden: Iterable[int]) -> n
     return dijkstra(sub, directed=True, unweighted=True, indices=[source], min_only=True)
 
 
-def triangle_counts(g: Graph, block: int = 2048) -> np.ndarray:
-    """Per-node triangle counts via block-wise sparse products."""
+def triangle_counts(g: Graph) -> np.ndarray:
+    """Per-node triangle counts as the row sums of ``(A @ U) * A``.
+
+    ``U`` is the upper triangle of the adjacency matrix ``A``, so entry
+    (y, w) counts the common neighbours x < w of an adjacent pair y, w, and a
+    triangle a < b < c is counted once in each of rows a, b and c.  Rows are
+    taken ``_TRIANGLE_BLOCK`` at a time.
+    """
     a = g._csr
+    row, col = g.edge_arrays()  # the upper triangle, row by row
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=g.n), out=indptr[1:])
+    u = csr_matrix((np.ones(col.size), col, indptr), shape=a.shape)
     tri = np.zeros(g.n, dtype=np.float64)
-    for start in range(0, g.n, block):
-        stop = min(start + block, g.n)
-        rows = a[start:stop]
-        paths = rows @ a  # 2-step walk counts
-        tri[start:stop] = np.asarray(paths.multiply(rows).sum(axis=1)).ravel() / 2.0
+    for start in range(0, g.n, _TRIANGLE_BLOCK):
+        rows = a[start : start + _TRIANGLE_BLOCK]
+        counts = (rows @ u).multiply(rows).sum(axis=1)
+        tri[start : start + rows.shape[0]] = np.asarray(counts).ravel()
     return tri
+
+
+def _path_totals(g: Graph, sources: Iterable[int]) -> tuple[int, int, int]:
+    """(sum of hop distances, number of pairs, largest distance) over the
+    pairs (s, v) with s in ``sources`` and v != s reachable from s.
+
+    A bit-parallel BFS: every node holds one bit per source of the batch,
+    packed in uint64 words, and one level ORs the frontier words of each
+    node's neighbours.  A batch costs eccentricity x arcs x words, so the
+    batch size follows from the fixed ``_GATHER_WORDS`` budget; graphs whose
+    diameter runs into the hundreds (long rings and paths) are slower than
+    per-source BFS.
+    """
+    src = np.asarray(list(sources), dtype=np.int64)
+    nonempty = np.flatnonzero(g.degrees)
+    row_starts = g.indptr[nonempty]
+    batch = 64 * max(1, _GATHER_WORDS // max(len(g.indices), 1))
+    total = pairs = diameter = 0
+    for lo in range(0, src.size, batch):
+        bits = np.arange(min(batch, src.size - lo))
+        seen = np.zeros((g.n, (bits.size + 63) // 64), dtype=np.uint64)
+        one_bit = np.uint64(1) << (bits % 64).astype(np.uint64)
+        np.bitwise_or.at(seen, (src[lo : lo + bits.size], bits // 64), one_bit)
+        frontier = seen.copy()
+        level = 0
+        while frontier.any():
+            level += 1
+            reached = np.zeros_like(seen)
+            reached[nonempty] = np.bitwise_or.reduceat(frontier[g.indices], row_starts, axis=0)
+            frontier = reached & ~seen
+            seen |= frontier
+            count = int(np.bitwise_count(frontier).sum())
+            total += level * count
+            pairs += count
+        diameter = max(diameter, level - 1)  # the last level reached nothing
+    return total, pairs, diameter
 
 
 def metrics(
@@ -349,28 +397,20 @@ def metrics(
     (and the reported diameter becomes a lower bound).  The clustering
     coefficient is the mean local coefficient over all nodes, with nodes of
     degree < 2 contributing zero.
+
+    Path statistics come from ``_path_totals``, 64 sources per machine word:
+    about eccentricity x arcs x ceil(sources / 64) word operations, which
+    beats per-source BFS unless the diameter runs into the hundreds.
     """
     if sample_sources is not None and sample_sources < 1:
         raise ValueError(f"sample_sources must be at least 1, got {sample_sources}")
     if sample_sources is None or sample_sources >= g.n:
-        sources = list(range(g.n))
+        sources = range(g.n)
         exact = True
     else:
-        sources = sorted(random.Random(seed).sample(range(g.n), sample_sources))
+        sources = random.Random(seed).sample(range(g.n), sample_sources)
         exact = False
-    total = 0.0
-    pairs = 0
-    diam = 0.0
-    for start in range(0, len(sources), 64):
-        chunk = sources[start : start + 64]
-        dist = dijkstra(g._csr, directed=True, unweighted=True, indices=chunk)
-        if dist.ndim == 1:
-            dist = dist[None, :]
-        finite = np.isfinite(dist) & (dist > 0)
-        if finite.any():
-            total += float(dist[finite].sum())
-            pairs += int(finite.sum())
-            diam = max(diam, float(dist[finite].max()))
+    total, pairs, diam = _path_totals(g, sources)
     cpl = total / pairs if pairs else 0.0
 
     deg = g.degrees.astype(np.float64)
@@ -386,18 +426,13 @@ def metrics(
         edge_count=g.edge_count,
         characteristic_path_length=cpl,
         clustering_coefficient=cc,
-        diameter=int(diam),
+        diameter=diam,
         diameter_is_exact=exact,
     )
 
 
 def exact_diameter(g: Graph) -> int:
-    """All-source exact diameter (use on small graphs only)."""
-    worst = 0.0
-    for start in range(0, g.n, 128):
-        chunk = list(range(start, min(start + 128, g.n)))
-        dist = dijkstra(g._csr, directed=True, unweighted=True, indices=chunk)
-        finite = dist[np.isfinite(dist)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
-    return int(worst)
+    """All-source exact diameter by bit-parallel BFS (see ``_path_totals``:
+    cheap on small-world graphs, slow when the diameter runs into the
+    hundreds)."""
+    return _path_totals(g, range(g.n))[2]

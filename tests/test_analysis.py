@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spantree
 from spantree import (
     AdversaryBehavior,
     AdversaryConfig,
@@ -189,6 +193,24 @@ class TestMeanCi99:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             mean_ci99([1.0])
+
+    def test_equals_student_t_quantile(self):
+        from scipy import stats
+
+        rng = random.Random(3)
+        for n in [*range(2, 60), 200, 1000, 4999]:
+            vals = [rng.random() for _ in range(n)]
+            mean = sum(vals) / n
+            var = sum((x - mean) ** 2 for x in vals) / (n - 1)
+            expected = float(stats.t.ppf(0.995, n - 1)) * math.sqrt(var / n)
+            assert mean_ci99(vals) == (mean, expected)
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats alone took about half of the package's import time
+        src = os.path.dirname(os.path.dirname(spantree.__file__))
+        code = f"import sys; sys.path.insert(0, {src!r}); import spantree; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSimulatedLostSet:

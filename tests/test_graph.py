@@ -7,9 +7,13 @@ import random
 import numpy as np
 import pytest
 
+from scipy.sparse.csgraph import dijkstra
+
+from spantree import graph
 from spantree.graph import (
     Graph,
     GraphFormatError,
+    GraphMetrics,
     bfs_distances,
     bfs_distances_avoiding,
     exact_diameter,
@@ -18,9 +22,10 @@ from spantree.graph import (
     load_edge_list,
     metrics,
     randomize_preserving_degrees,
+    triangle_counts,
 )
-from spantree.campaign import graph_from_spec
-from spantree.graph import _sample_range
+from spantree.campaign import graph_from_spec, report_table1
+from spantree.graph import _path_totals, _sample_range
 
 INF = float("inf")
 
@@ -313,12 +318,96 @@ class TestMetrics:
         )
 
 
+def reference_path_totals(g: Graph, sources) -> tuple[int, int, int]:
+    """``_path_totals`` from one scipy Dijkstra row per source."""
+    total = pairs = diameter = 0
+    for s in sources:
+        d = dijkstra(g._csr, unweighted=True, indices=s)
+        d = d[np.isfinite(d) & (d > 0)].astype(np.int64)
+        total += int(d.sum())
+        pairs += d.size
+        diameter = max([diameter, *d.tolist()])
+    return total, pairs, diameter
+
+
+def path_totals_cases():
+    """Graphs with isolated nodes and several components, an edgeless graph,
+    n = 1, and source lists that are samples, all nodes, or over 64 nodes."""
+    rng = random.Random(21)
+    yield Graph.from_edges(1, []), [0]
+    yield Graph.from_edges(5, []), [0, 3, 4]
+    yield Graph.from_edges(4, [(1, 2)]), [0, 1, 2, 3]
+    for _ in range(40):
+        n = rng.randint(2, 200)
+        g = random_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)))
+        yield g, range(n)
+        yield g, rng.sample(range(n), rng.randint(1, n))
+
+
+class TestPathTotals:
+    def test_matches_dijkstra(self):
+        for g, sources in path_totals_cases():
+            assert _path_totals(g, sources) == reference_path_totals(g, sources)
+
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_several_batches(self, monkeypatch, words):
+        # a budget of ``words`` words per arc: batches of 64 * words sources
+        for g, sources in path_totals_cases():
+            monkeypatch.setattr(graph, "_GATHER_WORDS", words * max(len(g.indices), 1))
+            assert _path_totals(g, sources) == reference_path_totals(g, sources)
+
+    def test_diameter_is_the_maximum_over_batches(self, monkeypatch):
+        # the path 0-...-9 lies in the first batch of 64 sources, later batches
+        # see only the star around node 64
+        edges = [(i, i + 1) for i in range(9)] + [(64, v) for v in range(65, 150)]
+        g = Graph.from_edges(150, edges)
+        monkeypatch.setattr(graph, "_GATHER_WORDS", 1)
+        totals = _path_totals(g, range(150))
+        assert totals == reference_path_totals(g, range(150))
+        assert totals[2] == exact_diameter(g) == 9
+
+
+class TestTriangleCounts:
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    def test_matches_brute_force(self, monkeypatch, block):
+        monkeypatch.setattr(graph, "_TRIANGLE_BLOCK", block)
+        rng = random.Random(8)
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+            adj = g.adjacency_sets
+            expected = [
+                sum(1 for a, b in itertools.combinations(sorted(adj[u]), 2) if b in adj[a])
+                for u in range(n)
+            ]
+            tri = triangle_counts(g)
+            assert tri.dtype == np.float64
+            assert tri.tolist() == expected
+
+
+class TestEvaluationGraphMetrics:
+    """Criterion 6's values, recorded before the bit-parallel BFS and the
+    upper-triangle product replaced Dijkstra and the full A @ A."""
+
+    def test_triangle_count_pinned(self):
+        assert triangle_counts(graph_from_spec("er(63392,824096)", 1)).sum() == 9183
+
+    def test_report_table1_pinned(self):
+        assert report_table1("er(63392,824096)", 1, 256) == GraphMetrics(
+            63392, 824096, 3.7463797354908426, 0.00042571067373392167, 5, False)
+
+
 class TestLargestComponent:
     def test_extraction(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
         sub, kept = extract_largest_component(g)
         assert sub.n == 3
         assert kept.tolist() == [0, 1, 2]
+
+    def test_tie_goes_to_component_with_lowest_node(self):
+        sub, kept = extract_largest_component(Graph.from_edges(5, [(1, 2), (3, 4)]))
+        assert kept.tolist() == [1, 2]
+        assert sub == Graph.from_edges(2, [(0, 1)])
 
     def test_connected_graph_unchanged(self, triangle):
         sub, kept = extract_largest_component(triangle)
