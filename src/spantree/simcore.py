@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import graph as graphmod
+import numpy as np
+
 from .adversary import (
     AdversaryConfig,
     AdversaryState,
@@ -182,13 +183,9 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         # double-sweep lower bound; planted chains must fit inside the real
         # diameter for the stale-data expiry bound to apply
         d0 = bfs_distances(g, [cfg.root])
-        far, best = cfg.root, -1.0
-        for u in range(n):
-            if d0[u] != graphmod.INF and d0[u] > best:
-                far, best = u, float(d0[u])
+        far = int(np.argmax(np.where(np.isfinite(d0), d0, -1)))
         d1 = bfs_distances(g, [far])
-        finite = [float(x) for x in d1 if x != graphmod.INF]
-        diam_hint = max(2, int(max(finite))) if finite else 2
+        diam_hint = max(2, int(d1[np.isfinite(d1)].max()))
 
     secret_by_pub = {kp.public: kp.secret for kp in keys}
 

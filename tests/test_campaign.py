@@ -273,6 +273,28 @@ class TestBehaviourFingerprint:
         assert h.hexdigest() == BEHAVIOUR_FINGERPRINT
 
 
+# SHA-256 of the er-analytic benchmark campaign's CSV at master seed 1: the
+# evaluation-scale graph, victim placements, roots and both BFS passes of every
+# containment report.  A performance change must leave it as it is.
+ER_ANALYTIC_CSV_SHA256 = "28749713b85f3c80a71f4201b15924404cb7174629d3869c54860a2b5c39e7da"
+
+
+class TestErAnalyticFingerprint:
+    def test_evaluation_scale_csv_unchanged(self):
+        cfg = parse_campaign_config("\n".join([
+            "graph = er(63392,824096)",
+            "protocols = attested,baseline",
+            "behaviors = disturb",
+            "attack_edges = 25,1000",
+            "runs = 3",
+            "master_seed = 1",
+            "analytic_only = true",
+            "timestamp_header = false",
+        ]))
+        csv = campaign_csv(cfg, run_campaign(cfg))
+        assert hashlib.sha256(csv.encode()).hexdigest() == ER_ANALYTIC_CSV_SHA256
+
+
 class TestCli:
     def test_campaign_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

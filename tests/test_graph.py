@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from spantree import graph
@@ -216,6 +217,39 @@ class TestDegreePreservingRandomization:
             randomize_preserving_degrees(triangle, seed=1, swap_factor=0)
 
 
+def bfs_cases():
+    """n = 1, edgeless graphs, isolated nodes, several components, and source
+    lists that are unsorted or repeat a node."""
+    rng = random.Random(8)
+    yield Graph.from_edges(1, []), [0]
+    yield Graph.from_edges(6, []), [4, 1, 4]
+    yield Graph.from_edges(5, [(1, 2), (3, 4)]), [2]
+    for _ in range(1200):
+        n = rng.randint(1, 120)
+        m = rng.randint(0, min(n * (n - 1) // 2, rng.choice([n // 2, n, 4 * n])))
+        sources = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+        yield random_graph(rng, n, m), sources
+
+
+def count_pulls(monkeypatch) -> list[int]:
+    """Record each pull level, seen as one ``np.logical_or.reduceat`` call."""
+    calls = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    class SpyLogicalOr:
+        def reduceat(self, *args):
+            calls.append(1)
+            return np.logical_or.reduceat(*args)
+
+    spy = SpyNumpy()
+    spy.logical_or = SpyLogicalOr()
+    monkeypatch.setattr(graph, "np", spy)
+    return calls
+
+
 class TestBfs:
     def test_path_single_source(self, path3):
         assert bfs_distances(path3, [0]).tolist() == [0, 1, 2]
@@ -231,7 +265,33 @@ class TestBfs:
         with pytest.raises(ValueError):
             bfs_distances(path3, [7])
         with pytest.raises(ValueError):
+            bfs_distances(path3, [-1])
+        with pytest.raises(ValueError):
             bfs_distances(path3, [])
+
+    def test_matches_dijkstra(self):
+        for g, sources in bfs_cases():
+            want = dijkstra(g._csr, unweighted=True, indices=sorted(set(sources)), min_only=True)
+            got = bfs_distances(g, sources)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), (g, sources)
+
+    def test_dense_graph_pulls(self, monkeypatch):
+        # level 1 holds most nodes, so its arcs outnumber the unvisited ones'
+        g = generate_erdos_renyi(60, 1500, seed=2)
+        want = dijkstra(g._csr, unweighted=True, indices=[0], min_only=True)
+        pulls = count_pulls(monkeypatch)
+        assert np.array_equal(bfs_distances(g, [0]), want)
+        assert pulls
+
+    def test_long_cycle_only_pushes(self, monkeypatch):
+        # every frontier is two nodes with four arcs; an odd cycle ends on two
+        # unvisited nodes with four arcs, so no level has fewer to pull
+        n = 301
+        g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        pulls = count_pulls(monkeypatch)
+        assert bfs_distances(g, [0]).tolist() == [min(i, n - i) for i in range(n)]
+        assert not pulls
 
     def test_edge_step_property(self):
         rng = random.Random(3)
@@ -242,6 +302,20 @@ class TestBfs:
                 for v in g.neighbors(u):
                     if math.isfinite(d[u]) and math.isfinite(d[v]):
                         assert abs(d[u] - d[v]) <= 1
+
+
+def reference_avoiding(g: Graph, source: int, forbidden) -> np.ndarray:
+    """Dijkstra on the CSR with every arc at a forbidden node removed."""
+    allowed = np.ones(g.n, dtype=bool)
+    allowed[list(forbidden)] = False
+    src_ids = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    keep = allowed[src_ids] & allowed[g.indices]
+    counts = np.bincount(src_ids[keep], minlength=g.n)
+    sub = csr_matrix(
+        (np.ones(int(keep.sum())), g.indices[keep], np.concatenate([[0], np.cumsum(counts)])),
+        shape=(g.n, g.n),
+    )
+    return dijkstra(sub, unweighted=True, indices=[source], min_only=True)
 
 
 class TestBfsAvoiding:
@@ -267,6 +341,26 @@ class TestBfsAvoiding:
     def test_forbidden_source_rejected(self, path3):
         with pytest.raises(ValueError):
             bfs_distances_avoiding(path3, 1, [1])
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_forbidden_out_of_range_rejected(self, path4, bad):
+        # -1 must not wrap around to node 3
+        with pytest.raises(ValueError):
+            bfs_distances_avoiding(path4, 0, [bad])
+
+    def test_invalid_source(self, path3):
+        with pytest.raises(ValueError):
+            bfs_distances_avoiding(path3, 3, [1])
+
+    def test_matches_sub_csr_dijkstra(self):
+        rng = random.Random(9)
+        for _ in range(1000):
+            n = rng.randint(1, 100)
+            g = random_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)))
+            source = rng.randrange(n)
+            forbidden = [u for u in rng.sample(range(n), rng.randint(0, n - 1)) if u != source]
+            got = bfs_distances_avoiding(g, source, forbidden)
+            assert np.array_equal(got, reference_avoiding(g, source, forbidden))
 
 
 class TestMetrics:
