@@ -10,12 +10,11 @@ stops a relay from presenting a shortened chain.
 
 Validation cost matters (campaigns validate millions of chains), so each
 attestation caches everything that does not depend on the reader or the
-current time: the head key, internal chain-signature validity, a rolling
-digest over the canonical records, and a freshness aggregate.  All caches
-are maintained in O(1) per appended tuple.  A node extends its chain toward
-every neighbor in one ``extend_each`` call per round, which computes the
-parts the extensions share once; the canonical serialization itself is
-materialized only on demand.
+current time: the head key, internal chain-signature validity, and a
+freshness aggregate.  All caches are maintained in O(1) per appended tuple.
+A node extends its chain toward every neighbor in one ``extend_each`` call
+per round, which computes the parts the extensions share once; the chain
+digest and the canonical serialization are materialized only on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .crypto import KeyPair, Signature, digest, level_message, link_message
+from .crypto import KeyPair, Signature, digest
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -57,12 +56,13 @@ class AttTuple(NamedTuple):
 class LevelAttestation:
     """Immutable attestation chain with O(1)-validation caches.
 
-    The chain digest is rolling: each appended record is absorbed into the
-    previous digest, so construction work per hop is constant and two chains
-    agree on the digest iff they agree on every canonical record.
+    The chain digest is rolling: each record is absorbed into the digest of
+    the chain before it, so two chains agree on the digest iff they agree on
+    every canonical record.  ``appended`` computes it eagerly from the
+    parent's; ``extend_each`` leaves it to the first read of ``digest``.
     """
 
-    __slots__ = ("tuples", "head", "chain_ok", "_bytes", "digest",
+    __slots__ = ("tuples", "head", "chain_ok", "_bytes", "_digest",
                  "_exp_step", "_exp_val", "_c4_reader", "_c4_ok",
                  "_link_sig", "_link_nid", "_link_ok")
 
@@ -71,7 +71,7 @@ class LevelAttestation:
         self.head: bytes | None = head
         self.chain_ok: bool = chain_ok
         self._bytes: bytes | None = None
-        self.digest: bytes = dig
+        self._digest: bytes | None = dig
         self._exp_step: int | None = exp_step
         self._exp_val: int | None = exp_val
         self._c4_reader: bytes | None = None
@@ -79,6 +79,15 @@ class LevelAttestation:
         self._link_sig = None
         self._link_nid: bytes | None = None
         self._link_ok = False
+
+    @property
+    def digest(self) -> bytes:
+        if self._digest is None:
+            dig = _EMPTY_DIGEST
+            for tup in self.tuples:
+                dig = digest(dig + _record(tup))
+            self._digest = dig
+        return self._digest
 
     @classmethod
     def empty(cls) -> "LevelAttestation":
@@ -118,9 +127,7 @@ class LevelAttestation:
             chain_ok = chain_hint
         else:
             last = self.tuples[-1]
-            chain_ok = self.chain_ok and backend.verify(
-                last.p, level_message(p, last.t), last.sig
-            )
+            chain_ok = self.chain_ok and backend.verify_level(last.p, p, last.t, last.sig)
         exp_step = exp_val = None
         if step is not None:
             if n == 0:
@@ -153,7 +160,7 @@ class LevelAttestation:
         """
         if self._c4_reader != reader_id:
             last = self.tuples[-1]
-            self._c4_ok = backend.verify(last.p, level_message(reader_id, last.t), last.sig)
+            self._c4_ok = backend.verify_level(last.p, reader_id, last.t, last.sig)
             self._c4_reader = reader_id
         return self._c4_ok
 
@@ -181,16 +188,14 @@ class LevelAttestation:
         return f"LevelAttestation(len={len(self.tuples)})"
 
 
-def _record(tup: AttTuple, head: bytes | None = None) -> bytes:
-    """Canonical bytes of one tuple; ``head`` is its key-and-timestamp part
-    when the caller has it already."""
-    if head is None:
-        head = _U32.pack(len(tup.p)) + tup.p + _U64.pack(tup.t)
+def _record(tup: AttTuple) -> bytes:
+    """Canonical bytes of one tuple."""
     blob = tup.sig.to_bytes()
-    return head + _U32.pack(len(blob)) + blob
+    return _U32.pack(len(tup.p)) + tup.p + _U64.pack(tup.t) + _U32.pack(len(blob)) + blob
 
 
-_EMPTY = LevelAttestation((), None, True, digest(b""), None, None)
+_EMPTY_DIGEST = digest(b"")
+_EMPTY = LevelAttestation((), None, True, _EMPTY_DIGEST, None, None)
 
 
 def attestation_from_bytes(data: bytes, backend) -> LevelAttestation:
@@ -245,24 +250,20 @@ def extend_each(
     """``extend`` toward each (target ID, target-assigned neighbor ID) pair
     of ``targets``, in order.
 
-    The chain head, ``chain_ok``, the freshness aggregate and the record's
-    key-and-timestamp part are the same for every target and are computed
-    once; each target costs two signatures and one digest.
+    The chain head, ``chain_ok`` and the freshness aggregate are the same
+    for every target and are computed once; each target costs two
+    signatures, and the digest waits for its first read.
     """
     pub, secret = signer.public, signer.secret
     head, chain_ok, exp_step, exp_val = level_att._next_caches(
         pub, ts, backend, step, chain_hint)
-    tuples, prev = level_att.tuples, level_att.digest
-    rec_head = _U32.pack(len(pub)) + pub + _U64.pack(ts)
-    sign = backend.sign
+    tuples = level_att.tuples
+    sign_level, sign_link = backend.sign_level, backend.sign_link
     out = []
     for target_id, nid in targets:
-        tup = AttTuple(pub, ts, sign(secret, level_message(target_id, ts)))
-        dig = digest(prev + _record(tup, rec_head))
-        out.append((
-            LevelAttestation(tuples + (tup,), head, chain_ok, dig, exp_step, exp_val),
-            sign(secret, link_message(nid, dig)),
-        ))
+        att = LevelAttestation(tuples + (AttTuple(pub, ts, sign_level(secret, target_id, ts)),),
+                               head, chain_ok, None, exp_step, exp_val)
+        out.append((att, sign_link(secret, nid, att)))
     return out
 
 
@@ -313,13 +314,13 @@ def is_valid_link(
         return False
     if att._link_sig is link_sig and att._link_nid == my_nid_for_sender:
         return att._link_ok
-    last = att.tuples[-1]
-    ok = backend.verify(
-        last.p, link_message(my_nid_for_sender, att.digest), link_sig
-    )
-    att._link_sig = link_sig
-    att._link_nid = my_nid_for_sender
-    att._link_ok = ok
+    ok = backend.verify_link(att.tuples[-1].p, my_nid_for_sender, att, link_sig)
+    # only eager signatures are memoized: a lazy one holds its attestation,
+    # so keeping it here could close the cycle att -> signature -> att
+    if link_sig.link is None:
+        att._link_sig = link_sig
+        att._link_nid = my_nid_for_sender
+        att._link_ok = ok
     return ok
 
 

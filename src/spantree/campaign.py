@@ -208,7 +208,20 @@ def graph_from_spec(spec: str, master_seed: int = 1, lcc: bool = True) -> Graph:
 
 def analytic_lost_set(report: ContainmentReport, protocol: str,
                       behavior: str) -> frozenset[int]:
-    """Which analytic set the theory assigns to a (protocol, behavior) cell."""
+    """Which analytic set the theory assigns to a (protocol, behavior) cell,
+    and what the oracle suite checks of it against the simulator (ill = the
+    simulated ill-directed set):
+
+    * baseline: ``baseline_lost``; equals the simulated lost set under
+      ``disturb``, and ``baseline_lost <= ill <= baseline_lost | baseline_ties``
+      under ``cheat``.
+    * attested ``cheat``: ``containment_set``, an upper bound, not equality:
+      ``strict_set <= ill <= containment_set``.
+    * attested ``disturb``: ``strict_set``; every node outside it stabilizes
+      and none in it goes quiet.
+    * attested ``honest``: ``nocheat_strict_set``, a lower bound:
+      ``nocheat_strict_set <= ill <= nocheat_containment_set``.
+    """
     if protocol == "baseline":
         return report.baseline_lost
     if behavior == "cheat":
@@ -459,6 +472,12 @@ class OracleReport:
     elapsed_seconds: float = 0.0
 
 
+def _require_instances(instances: int) -> None:
+    # a suite that checks nothing must not report that everything matched
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+
+
 def _random_instance(rng: Random, n_lo: int, n_hi: int, g_hi: int):
     """One random (graph, placement, root) instance for the oracle suite."""
     while True:
@@ -492,6 +511,7 @@ def oracle_check(
     non-cheating run, and a disturbance run, plus baseline runs, and records
     a violation string for every analytic prediction the simulation misses.
     """
+    _require_instances(instances)
     t_begin = time.perf_counter()
     report = OracleReport()
     idx = -1
@@ -664,6 +684,7 @@ def consistency_check(
     longer budgets), which is why the guarantee is stated over the stale
     values themselves.
     """
+    _require_instances(instances)
     t_begin = time.perf_counter()
     report = OracleReport()
     idx = -1

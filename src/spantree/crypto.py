@@ -10,9 +10,17 @@ Two interchangeable signature backends are provided:
 * ``Ed25519Backend`` -- real Ed25519 via the ``cryptography`` package, for
   end-to-end realism.  Optional; only needed when explicitly requested.
 
+Every backend also signs and verifies the protocol's two messages from their
+fields (``sign_level``/``verify_level``, ``sign_link``/``verify_link``).
+``ModelBackend`` signatures made so are lazy: they keep the fields, build the
+message bytes, tail and attestation digest only when read, and verify by
+comparing fields where they can, with the answer the bytes would give.
+``Ed25519Backend`` and ``ModelBackend(track_issued=True)`` stay eager.
+
 All multi-field messages use length-prefixed encodings (4-byte big-endian
 length prefixes, 8-byte big-endian timestamps) so that no two distinct field
-combinations serialize to the same byte string.
+combinations serialize to the same byte string; ``None`` and ``b""`` IDs
+encode alike.
 """
 
 from __future__ import annotations
@@ -64,17 +72,31 @@ class Signature:
 
     Model-scheme signatures embed the signer's public key and, canonically, a
     digest of the signed message; freshly produced ones also keep the raw
-    message so verification is a plain byte comparison.  Ed25519 signatures
-    carry the raw 64-byte signature with an empty signer field.  The wire
-    form is len(signer) || signer || tail.
+    message, or the fields it is encoded from (``level`` = (target ID,
+    timestamp), ``link`` = (neighbor ID, attestation)), so verification is a
+    plain comparison.  Ed25519 signatures carry the raw 64-byte signature
+    with an empty signer field.  The wire form is len(signer) || signer ||
+    tail.
     """
 
-    __slots__ = ("signer", "msg", "_tail")
+    __slots__ = ("signer", "_msg", "_tail", "level", "link")
 
-    def __init__(self, signer: bytes, msg: bytes | None = None, tail: bytes | None = None):
+    def __init__(self, signer: bytes, msg: bytes | None = None, tail: bytes | None = None,
+                 level: tuple[bytes, int] | None = None, link: tuple | None = None):
         self.signer = signer
-        self.msg = msg
+        self._msg = msg
         self._tail = tail
+        self.level = level
+        self.link = link
+
+    @property
+    def msg(self) -> bytes | None:
+        if self._msg is None:
+            if self.level is not None:
+                self._msg = level_message(*self.level)
+            elif self.link is not None:
+                self._msg = link_message(self.link[0], self.link[1].digest)
+        return self._msg
 
     @property
     def tail(self) -> bytes:
@@ -104,14 +126,32 @@ class Signature:
         return f"Signature(signer={self.signer!r})"
 
 
-class ModelBackend:
+class _ByteMessages:
+    """The field-level signing API of an eager backend: encode the message,
+    then ``sign`` or ``verify`` its bytes."""
+
+    def sign_level(self, secret: bytes, target_id: bytes | None, ts: int) -> Signature:
+        return self.sign(secret, level_message(target_id, ts))
+
+    def sign_link(self, secret: bytes, nid: bytes | None, att) -> Signature:
+        return self.sign(secret, link_message(nid, att.digest))
+
+    def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
+                     sig: Signature) -> bool:
+        return self.verify(public, level_message(target_id, ts), sig)
+
+    def verify_link(self, public: bytes, nid: bytes | None, att, sig: Signature) -> bool:
+        return self.verify(public, link_message(nid, att.digest), sig)
+
+
+class ModelBackend(_ByteMessages):
     """Structural signature scheme verified by recomputation.
 
     Key pairs are derived deterministically from an integer seed and public
     keys are guaranteed distinct for distinct seeds (mod 2**64).  When
-    ``track_issued`` is set, every signature produced by ``sign`` is recorded
-    in ``issued`` so tests can assert that accepted signatures were actually
-    issued rather than fabricated.
+    ``track_issued`` is set, every signature produced is recorded in
+    ``issued`` so tests can assert that accepted signatures were actually
+    issued rather than fabricated; such a backend signs eagerly.
     """
 
     name = "model"
@@ -131,15 +171,40 @@ class ModelBackend:
             self.issued.add(sig.to_bytes())
         return sig
 
+    # lazy unless tracking; the eager fallback's ``sign`` rejects a non-model key
+
+    def sign_level(self, secret: bytes, target_id: bytes | None, ts: int) -> Signature:
+        if self.issued is None and secret.startswith(b"SK"):
+            return Signature(b"PK" + secret[2:], None, None, (target_id or b"", ts))
+        return super().sign_level(secret, target_id, ts)
+
+    def sign_link(self, secret: bytes, nid: bytes | None, att) -> Signature:
+        if self.issued is None and secret.startswith(b"SK"):
+            return Signature(b"PK" + secret[2:], None, None, None, (nid or b"", att))
+        return super().sign_link(secret, nid, att)
+
     def verify(self, public: bytes, message: bytes, sig: Signature) -> bool:
         if sig.signer != public:
             return False
-        if sig.msg is not None:
-            return sig.msg == message
+        msg = sig.msg
+        if msg is not None:
+            return msg == message
         return sig.tail == digest(message)
 
+    def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
+                     sig: Signature) -> bool:
+        if sig.level is None:
+            return super().verify_level(public, target_id, ts, sig)
+        return sig.signer == public and sig.level == (target_id or b"", ts)
 
-class Ed25519Backend:
+    def verify_link(self, public: bytes, nid: bytes | None, att, sig: Signature) -> bool:
+        link = sig.link
+        if link is None or link[1] is not att:
+            return super().verify_link(public, nid, att, sig)
+        return sig.signer == public and link[0] == (nid or b"")
+
+
+class Ed25519Backend(_ByteMessages):
     """Ed25519 signatures via the ``cryptography`` package."""
 
     name = "ed25519"

@@ -18,6 +18,7 @@ from spantree.crypto import (
     MODEL,
     Ed25519Backend,
     ModelBackend,
+    Signature,
     digest,
     level_message,
     link_message,
@@ -231,6 +232,90 @@ class TestExtendEach:
         assert is_valid_att(fused[0][0], reader, keys[0].public, ts, DELTAS,
                             base_len + 1, backend)
         assert is_valid_link(fused[0][0], b"a" * 8, fused[0][1], backend)
+
+
+def _random_chain(seed, backend):
+    """A chain of 1-8 hops, each written by ``extend_each`` toward 1-3
+    targets (IDs and nids drawn with ``None`` and ``b""`` among them) and
+    continued along a random one.  Returns the last hop's (attestation,
+    link signature, nid) triples."""
+    rng = random.Random(seed)
+    keys = [backend.keygen(rng.randrange(50)) for _ in range(rng.randint(1, 8))]
+    ids = [None, b"", b"x", keys[-1].public]
+    att, ts = LevelAttestation.empty(), 0
+    for j, signer in enumerate(keys):
+        ts += rng.randint(0, 3)
+        targets = [(rng.choice(ids + [k.public for k in keys]), rng.choice(ids))
+                   for _ in range(rng.randint(1, 3))]
+        step = rng.choice([STEP, None])
+        out = extend_each(att, signer, targets, ts, backend, step)
+        if j == len(keys) - 1:
+            return [(ex, link, nid) for (ex, link), (_, nid) in zip(out, targets)]
+        att = out[rng.randrange(len(out))][0]
+
+
+class TestLazyModelSignatures:
+    """Lazy model signatures against the eager bytes they stand for."""
+
+    def test_lazy_and_eager_chains_agree(self):
+        eager = ModelBackend(track_issued=True)
+        for seed in range(500):
+            for (lazy, lazy_link, nid), (ref, ref_link, _) in zip(
+                    _random_chain(seed, MODEL), _random_chain(seed, eager)):
+                assert lazy_link.link is not None and ref_link.link is None
+                assert lazy.to_bytes() == ref.to_bytes()
+                assert lazy.digest == ref.digest
+                for a, b in zip(lazy.tuples, ref.tuples):
+                    assert a.sig.to_bytes() == b.sig.to_bytes()
+                assert lazy_link.to_bytes() == ref_link.to_bytes()
+                restored = attestation_from_bytes(lazy.to_bytes(), MODEL)
+                assert restored.digest == lazy.digest
+                assert is_valid_link(restored, nid, lazy_link, MODEL)
+                assert MODEL.verify_link(lazy.tuples[-1].p, nid, restored, lazy_link)
+
+    def test_fast_path_matches_byte_path(self):
+        rng = random.Random(5)
+        keys = [MODEL.keygen(i) for i in range(3)]
+        ids = [None, b"", b"\x00", b"x", keys[0].public, keys[1].public]
+        stamps = [0, 1, 2, 255, 256, 2**64 - 1]
+        chains = [ex for seed in range(4) for ex, _, _ in _random_chain(seed, MODEL)]
+        # equal content, distinct objects
+        chains += [LevelAttestation.from_tuples(c.tuples, MODEL) for c in chains]
+        for _ in range(10_000):
+            signer, reader = rng.choice(keys), rng.choice(keys).public
+            if rng.random() < 0.5:
+                tid, ts = rng.choice(ids), rng.choice(stamps)
+                sig = MODEL.sign_level(signer.secret, tid, ts)
+                q_tid, q_ts = rng.choice([(tid, ts), (rng.choice(ids), rng.choice(stamps))])
+                got = MODEL.verify_level(reader, q_tid, q_ts, sig)
+                msg = level_message(q_tid, q_ts)
+                same = (q_tid or b"") == (tid or b"") and q_ts == ts
+            else:
+                nid, att = rng.choice(ids), rng.choice(chains)
+                sig = MODEL.sign_link(signer.secret, nid, att)
+                q_nid, q_att = rng.choice([(nid, att), (rng.choice(ids), rng.choice(chains))])
+                got = MODEL.verify_link(reader, q_nid, q_att, sig)
+                msg = link_message(q_nid, q_att.digest)
+                same = (q_nid or b"") == (nid or b"") and q_att == att
+            assert got is (reader == signer.public and same)
+            assert got is MODEL.verify(reader, msg, Signature.from_bytes(sig.to_bytes()))
+            assert got is MODEL.verify(reader, msg, sig)
+
+    def test_secret_key_check_kept(self):
+        att = LevelAttestation.empty()
+        for backend in (MODEL, ModelBackend(track_issued=True)):
+            with pytest.raises(ValueError, match="model-scheme secret key"):
+                backend.sign_level(b"XX" + bytes(8), b"id", 1)
+            with pytest.raises(ValueError, match="model-scheme secret key"):
+                backend.sign_link(b"XX" + bytes(8), b"nid", att)
+
+    def test_long_chain_digest(self):
+        keys = [MODEL.keygen(i) for i in range(2)]
+        att = LevelAttestation.empty()
+        for j in range(5000):
+            [(att, _)] = extend_each(att, keys[j % 2], [(keys[(j + 1) % 2].public, None)],
+                                     j, MODEL)
+        assert att.digest == LevelAttestation.from_tuples(att.tuples, MODEL).digest
 
 
 class TestConsistency:

@@ -201,7 +201,19 @@ class TestDeriveSeed:
         assert 0 <= derive_seed("x") < 2**64
 
 
+class TestOracleCheck:
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_empty_suite_rejected(self, instances):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
+            campaign.oracle_check(instances)
+
+
 class TestConsistencyOracle:
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_empty_suite_rejected(self, instances):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
+            campaign.consistency_check(instances)
+
     def test_clean_on_correct_implementation(self):
         from spantree import consistency_check
 
@@ -333,6 +345,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "instances checked: 3" in out
         assert "match the analytic predictions" in out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_oracle_check_empty_suite_exits_2(self, capsys, count):
+        assert cli_main(["oracle-check", "--instances", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "instances must be at least 1" in captured.err
 
     def test_oracle_check_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.cfg"
