@@ -110,6 +110,10 @@ class CampaignConfig:
             raise ValueError("need at least one run per cell")
         if any(g < 1 for g in self.attack_edges):
             raise ValueError("attack-edge counts must be positive")
+        for key in ("delta_d", "delta_e", "delta_c"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
         for p in self.protocols:
             if p not in _PROTOCOLS:
                 raise ValueError(f"unknown protocol {p!r}")

@@ -62,6 +62,17 @@ class TestConfigParsing:
         assert parse_campaign_config("graph = er(60,130)\ndelta_c = 8").delta_c == 8
         assert parse_campaign_config("graph = er(60,130)").delta_c is None
 
+    @pytest.mark.parametrize("analytic", ["true", "false"])
+    @pytest.mark.parametrize("line", ["delta_d = -1", "delta_e = -5", "delta_c = -3"])
+    def test_negative_timing_bounds_rejected(self, analytic, line):
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+            parse_campaign_config(f"graph = er(60,130)\nanalytic_only = {analytic}\n{line}")
+
+    def test_zero_timing_bounds_accepted(self):
+        cfg = parse_campaign_config("graph = er(60,130)\ndelta_d = 0\ndelta_e = 0\ndelta_c = 0")
+        assert (cfg.delta_d, cfg.delta_e, cfg.delta_c) == (0, 0, 0)
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             parse_campaign_config("graph = er(30,60)\nanalytic_only = perhaps")
@@ -379,6 +390,20 @@ class TestCli:
         assert cli_main(["campaign", str(cfg_path), "--output", str(out_path),
                          "--no-timestamp"]) == 0
         assert out_path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("analytic", ["true", "false"])
+    def test_campaign_negative_timing_bound_exits_2(self, tmp_path, capsys, analytic):
+        cfg_path = tmp_path / "c.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(
+            f"graph = er(40,80)\nanalytic_only = {analytic}\nruns = 1\n"
+            f"delta_e = -5\noutput = {out_path}\n"
+        )
+        assert cli_main(["campaign", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "delta_e must be non-negative" in captured.err
+        assert not out_path.exists()
 
     def test_error_exit_code(self, capsys):
         assert cli_main(["campaign", "/nonexistent/file.cfg"]) == 2

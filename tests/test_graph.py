@@ -25,7 +25,7 @@ from spantree.graph import (
     randomize_preserving_degrees,
     triangle_counts,
 )
-from spantree.campaign import graph_from_spec, report_table1
+from spantree.campaign import generate_degree_skewed, graph_from_spec, report_table1
 from spantree.graph import _path_totals, _sample_range
 
 INF = float("inf")
@@ -461,27 +461,104 @@ class TestPathTotals:
         assert totals[2] == exact_diameter(g) == 9
 
 
+def reference_triangle_counts(g: Graph) -> np.ndarray:
+    """The row sums of ``(A @ U) * A``, ``U`` the upper triangle of the
+    adjacency matrix ``A``, 2048 rows at a time: the sparse product that the
+    forward kernel replaced.  Entry (y, w) counts the common neighbours
+    x < w of an adjacent pair y, w, so a triangle is counted once in each of
+    its rows."""
+    a = g._csr
+    row, col = g.edge_arrays()
+    u = csr_matrix((np.ones(col.size), (row, col)), shape=a.shape)
+    tri = np.zeros(g.n, dtype=np.float64)
+    for start in range(0, g.n, 2048):
+        rows = a[start : start + 2048]
+        counts = (rows @ u).multiply(rows).sum(axis=1)
+        tri[start : start + rows.shape[0]] = np.asarray(counts).ravel()
+    return tri
+
+
+def brute_force_triangles(g: Graph) -> list[int]:
+    adj = g.adjacency_sets
+    return [
+        sum(1 for a, b in itertools.combinations(sorted(adj[u]), 2) if b in adj[a])
+        for u in range(g.n)
+    ]
+
+
+def permuted(g: Graph, rng: random.Random, extra: int) -> Graph:
+    """``g`` with its nodes relabelled at random among ``extra`` more,
+    isolated ones, so hubs sit anywhere in the id order."""
+    labels = rng.sample(range(g.n + extra), g.n)
+    u, v = g.edge_arrays()
+    lookup = np.asarray(labels, dtype=np.int64)
+    return Graph.from_edges(g.n + extra, np.column_stack([lookup[u], lookup[v]]))
+
+
+@pytest.fixture(scope="module")
+def triangle_cases() -> list[tuple[Graph, np.ndarray]]:
+    """1,200 graphs with their reference counts: n = 0 and n = 1, edgeless
+    graphs, uniform graphs from sparse to complete, and degree-skewed graphs
+    with hubs anywhere in the id order and isolated nodes."""
+    rng = random.Random(12)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [])]
+    graphs += [Graph.from_edges(n, []) for n in (2, 3, 17)]
+    for _ in range(600):
+        n = rng.randint(1, 45)
+        graphs.append(random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+    while len(graphs) < 1200:
+        skewed = generate_degree_skewed(rng.randint(2, 60), rng.randint(1, 5), rng.getrandbits(32))
+        graphs.append(permuted(skewed, rng, rng.randint(0, 10)))
+    return [(g, reference_triangle_counts(g)) for g in graphs]
+
+
+def odd_non_divisor(n: int) -> int:
+    rows = 3
+    while n and n % rows == 0:
+        rows += 2
+    return rows
+
+
 class TestTriangleCounts:
     @pytest.mark.parametrize("block", [1, 3, 2048])
     def test_matches_brute_force(self, monkeypatch, block):
-        monkeypatch.setattr(graph, "_TRIANGLE_BLOCK", block)
         rng = random.Random(8)
         for _ in range(30):
             n = rng.randint(1, 40)
             g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-            adj = g.adjacency_sets
-            expected = [
-                sum(1 for a, b in itertools.combinations(sorted(adj[u]), 2) if b in adj[a])
-                for u in range(n)
-            ]
+            monkeypatch.setattr(graph, "_MARK_BYTES", block * n)  # ``block`` rows of marks
             tri = triangle_counts(g)
             assert tri.dtype == np.float64
-            assert tri.tolist() == expected
+            assert tri.tolist() == brute_force_triangles(g)
+
+    @pytest.mark.parametrize("rows", ["one-row", "odd", "one-block"])
+    def test_matches_sparse_product(self, monkeypatch, triangle_cases, rows):
+        for g, want in triangle_cases:
+            block = {"one-row": 1, "odd": odd_non_divisor(g.n), "one-block": max(g.n, 1)}[rows]
+            monkeypatch.setattr(graph, "_MARK_BYTES", block * max(g.n, 1))
+            got = triangle_counts(g)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), g
+
+    def test_reference_matches_brute_force(self, triangle_cases):
+        for g, want in triangle_cases[::10]:
+            assert want.tolist() == brute_force_triangles(g)
+
+    def test_clustering_coefficient_from_brute_force(self, triangle_cases):
+        for g, _ in triangle_cases[::20]:
+            tri = np.asarray(brute_force_triangles(g), dtype=np.float64)
+            deg = g.degrees.astype(np.float64)
+            local = np.zeros(g.n)
+            mask = deg >= 2
+            local[mask] = 2.0 * tri[mask] / (deg[mask] * (deg[mask] - 1))
+            want = float(np.mean(local)) if g.n else 0.0
+            assert metrics(g).clustering_coefficient == want
 
 
 class TestEvaluationGraphMetrics:
-    """Criterion 6's values, recorded before the bit-parallel BFS and the
-    upper-triangle product replaced Dijkstra and the full A @ A."""
+    """Criterion 6's values, recorded with scipy's Dijkstra and the full
+    A @ A; the bit-parallel BFS and the forward triangle kernel reproduce
+    them exactly."""
 
     def test_triangle_count_pinned(self):
         assert triangle_counts(graph_from_spec("er(63392,824096)", 1)).sum() == 9183
@@ -507,6 +584,13 @@ class TestLargestComponent:
         sub, kept = extract_largest_component(triangle)
         assert sub == triangle
         assert kept.tolist() == [0, 1, 2]
+
+    def test_sparse_matrix_not_kept(self):
+        # the graph holds no sparse copy of itself once the component search is done
+        g = generate_erdos_renyi(300, 320, seed=4)
+        extract_largest_component(g)
+        triangle_counts(g)
+        assert "_csr" not in g.__dict__
 
 
 class TestWithAddedNode:
