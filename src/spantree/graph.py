@@ -21,7 +21,9 @@ from scipy.sparse.csgraph import connected_components
 
 INF = float("inf")
 _MARK_BYTES = 1 << 22  # triangle_counts' mark buffer, n bytes per row: 4 MB
-_GATHER_WORDS = 1 << 18  # uint64 words gathered per BFS level: 2 MB, larger ran slower
+# 64-bit words gathered per bit-parallel BFS level, and paths a -> b -> c
+# gathered per triangle block: 2 MB an array, larger ran slower
+_GATHER_WORDS = 1 << 18
 
 
 class GraphFormatError(ValueError):
@@ -370,11 +372,14 @@ def triangle_counts(g: Graph) -> np.ndarray:
     Edges point from the lower node id to the higher one, the upper triangle
     ``U``, so a triangle a < b < c is found once: from the path a -> b -> c
     and the edge (a, c).  Rows a of ``U`` are taken a block at a time: the
-    block marks its rows' neighbours in a boolean buffer of n bytes per row
-    (as many rows as fit in ``_MARK_BYTES``, at most n and at least one),
+    block marks its rows' neighbours in a boolean buffer of n bytes per row,
     gathers every path a -> b -> c, tests the mark at (a, c) and credits each
-    hit to a, b and c.  The cost is sum_b indeg_U(b) x outdeg_U(b) mark tests,
-    against sum_b deg(b) x outdeg_U(b) multiply-adds for the sparse product
+    hit to a, b and c.  A block ends where its rows would pass
+    ``_MARK_BYTES`` of marks or ``_GATHER_WORDS`` paths, and holds at least
+    one row, and the hits are credited whenever more than ``_GATHER_WORDS``
+    nodes are held, so dense graphs are counted in bounded memory.  The cost is
+    sum_b indeg_U(b) x outdeg_U(b) mark tests, against
+    sum_b deg(b) x outdeg_U(b) multiply-adds for the sparse product
     ``(A @ U) * A``.
     """
     n = g.n
@@ -382,11 +387,18 @@ def triangle_counts(g: Graph) -> np.ndarray:
     uptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=uptr[1:])
     udeg = np.diff(uptr)
+    paths = np.zeros(n + 1, dtype=np.int64)  # paths a -> b -> c before row a
+    np.cumsum(np.bincount(row, weights=udeg[col], minlength=n).astype(np.int64), out=paths[1:])
+    # the last row a block that starts at each row may take within its paths
+    last = np.searchsorted(paths, paths[:-1] + _GATHER_WORDS, side="right") - 1
     rows = max(1, min(n, _MARK_BYTES // max(n, 1)))
     mark = np.zeros(rows * n, dtype=bool)
-    hits = [row[:0]]
-    for lo in range(0, n, rows):
-        block = slice(uptr[lo], uptr[min(lo + rows, n)])
+    tri = np.zeros(n)
+    hits, held = [], 0  # nodes to credit, not yet added to ``tri``
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, min(lo + rows, last[lo]))
+        block = slice(uptr[lo], uptr[hi])
         a, b = row[block], col[block]
         key = (a - lo) * n + b
         mark[key] = True
@@ -398,8 +410,13 @@ def triangle_counts(g: Graph) -> np.ndarray:
             hit = np.flatnonzero(mark[np.repeat(key - b, cnt) + c])
             first = np.searchsorted(ends, hit, side="right")  # the edge (a, b) of each hit
             hits += [a[first], b[first], c[hit]]
+            held += 3 * hit.size
         mark[key] = False
-    return np.bincount(np.concatenate(hits), minlength=n).astype(np.float64)
+        lo = hi
+        if held > _GATHER_WORDS or (lo == n and held):
+            tri += np.bincount(np.concatenate(hits), minlength=n)
+            hits, held = [], 0
+    return tri
 
 
 def _path_totals(g: Graph, sources: Iterable[int]) -> tuple[int, int, int]:

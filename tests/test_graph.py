@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,9 +415,10 @@ class TestMetrics:
 
 def reference_path_totals(g: Graph, sources) -> tuple[int, int, int]:
     """``_path_totals`` from one scipy Dijkstra row per source."""
+    csr = g._csr
     total = pairs = diameter = 0
     for s in sources:
-        d = dijkstra(g._csr, unweighted=True, indices=s)
+        d = dijkstra(csr, unweighted=True, indices=s)
         d = d[np.isfinite(d) & (d > 0)].astype(np.int64)
         total += int(d.sum())
         pairs += d.size
@@ -539,6 +541,28 @@ class TestTriangleCounts:
             got = triangle_counts(g)
             assert got.dtype == np.float64
             assert np.array_equal(got, want), g
+
+    @pytest.mark.parametrize("paths", [1, 97, 5000])
+    def test_path_budget(self, monkeypatch, triangle_cases, paths):
+        # blocks end by their paths a -> b -> c before their marks fill
+        monkeypatch.setattr(graph, "_GATHER_WORDS", paths)
+        complete = Graph.from_edges(40, list(itertools.combinations(range(40), 2)))
+        for g in (complete, generate_erdos_renyi(300, 20000, seed=4)):
+            assert np.array_equal(triangle_counts(g), reference_triangle_counts(g))
+        for g, want in triangle_cases[::6]:
+            assert np.array_equal(triangle_counts(g), want), g
+
+    def test_dense_graph_memory_is_bounded(self):
+        g = Graph.from_edges(300, list(itertools.combinations(range(300), 2)))
+        tracemalloc.start()
+        try:
+            tri = triangle_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tri.tolist() == [299 * 298 / 2] * 300
+        # 4.5 million paths and triangles; all at once they took 210 MiB
+        assert peak < 128 * graph._GATHER_WORDS
 
     def test_reference_matches_brute_force(self, triangle_cases):
         for g, want in triangle_cases[::10]:
