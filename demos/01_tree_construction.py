@@ -54,7 +54,7 @@ def main() -> None:
 
     cfg = RunConfig(
         graph=aug, root=root,
-        adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 5),
+        adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
         adversary_node=m,
         deltas=Deltas(c=14, d=1, e=1),  # ample skew so the relay never expires
         max_rounds=4 * (diam + 2) + 20,

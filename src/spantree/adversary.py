@@ -53,8 +53,6 @@ class AdversaryBehavior(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class AdversaryConfig:
     behavior: AdversaryBehavior
-    attack_edges: int
-    seed: int = 0
 
 
 @dataclass(slots=True)

@@ -18,7 +18,7 @@ import io
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from random import Random
 
@@ -108,6 +108,13 @@ class CampaignConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("need at least one run per cell")
+        # each cell holds ``runs`` rows, so a cell may not be listed twice
+        for key in ("protocols", "behaviors", "attack_edges"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must list at least one value")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} lists a value twice: {', '.join(map(str, values))}")
         if any(g < 1 for g in self.attack_edges):
             raise ValueError("attack-edge counts must be positive")
         for key in ("delta_d", "delta_e", "delta_c"):
@@ -259,47 +266,76 @@ def _disturb_schedule(diam_bound: int, g_atk: int, budget: int) -> tuple[int, in
     return t0, window, max_rounds
 
 
-def simulate_run(
-    aug: Graph,
-    m: int,
-    root: int,
-    protocol: str,
-    behavior: str,
-    g_atk: int,
-    run_seed: int,
-    report: ContainmentReport,
-    deltas: Deltas,
-):
+@dataclass(frozen=True)
+class _Instance:
+    """One attacked instance: the honest graph ``g``, the overlay ``aug``
+    with the adversary attached as node ``m = g.n`` by ``g_atk`` attack
+    edges, the root, the analytic containment report and the timing bounds.
+
+    ``diam`` bounds the overlay's diameter: the oracle suites compute it
+    exactly, campaign runs take twice the largest root distance.  ``tag``
+    names the instance in violation strings, and ``seed(label)`` derives
+    the oracle suites' run seeds from ``master_seed`` and ``idx``.
+    """
+
+    tag: str
+    g: Graph
+    aug: Graph
+    m: int
+    root: int
+    g_atk: int
+    report: ContainmentReport
+    diam: int
+    deltas: Deltas
+    master_seed: int
+    idx: int
+
+    @property
+    def honest(self) -> frozenset[int]:
+        return frozenset(range(self.g.n))
+
+    def seed(self, label: str) -> int:
+        return derive_seed(self.master_seed, label, self.idx)
+
+
+def _attacked_run(
+    inst: _Instance,
+    protocol: ProtocolKind,
+    behavior: AdversaryBehavior,
+    seed: int,
+    max_rounds: int,
+    window: int = 0,
+    candidates: frozenset[int] | None = None,
+    init_mode: InitMode = InitMode.CLEAN,
+) -> RunConfig:
+    """The configuration of a run on ``inst``'s overlay, its adversary
+    following ``behavior``, stopping once ``candidates`` were quiet for
+    ``window`` rounds (never when ``window`` is 0)."""
+    return RunConfig(
+        graph=inst.aug, root=inst.root, protocol=protocol,
+        adversary=AdversaryConfig(behavior), adversary_node=inst.m,
+        deltas=inst.deltas, init_mode=init_mode, seed=seed,
+        max_rounds=max_rounds, stability_window=window,
+        stability_candidates=candidates,
+    )
+
+
+def simulate_run(inst: _Instance, protocol: str, behavior: str, run_seed: int):
     """Full-protocol execution of one campaign run; returns the measured lost
     set and the convergence round."""
-    honest = frozenset(range(aug.n)) - {m}
+    rep = inst.report
     if behavior == "disturb":
-        strict = (
-            report.strict_set if protocol == "attested" else report.baseline_lost
-        )
-        candidates = honest - strict
+        strict = rep.strict_set if protocol == "attested" else rep.baseline_lost
+        candidates = inst.honest - strict
     else:
-        candidates = honest
-    # containment_sets has checked that every node reaches the root;
-    # dist_root covers the honest nodes, adv_root_distance the adversary
-    diam_bound = 2 * max(int(report.dist_root.max()), report.adv_root_distance)
+        candidates = inst.honest
     t0, window, max_rounds = _disturb_schedule(
-        diam_bound, g_atk, report.disturbance_budget
+        inst.diam, inst.g_atk, rep.disturbance_budget
     )
-    cfg = RunConfig(
-        graph=aug,
-        root=root,
-        protocol=_PROTOCOLS[protocol],
-        adversary=AdversaryConfig(_BEHAVIORS[behavior], g_atk, derive_seed(run_seed, "adv")),
-        adversary_node=m,
-        deltas=deltas,
-        init_mode=InitMode.CLEAN,
-        seed=run_seed,
-        max_rounds=max_rounds,
-        stability_window=window,
-        stability_candidates=frozenset(candidates),
-    )
-    outcome = run(cfg)
+    outcome = run(_attacked_run(
+        inst, _PROTOCOLS[protocol], _BEHAVIORS[behavior], run_seed,
+        max_rounds, window, candidates,
+    ))
     last_round = outcome.trace[-1].round
     start = max(t0, last_round - window)
     lost = simulated_lost_set(outcome, start)
@@ -334,7 +370,19 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                 d_m = float(rep.dist_adv.mean())
                 eff = d_m + rep.adv_root_distance - 1.0
                 if not cfg.analytic_only:
-                    aug = base_graph.with_added_node(victims)
+                    delta_c = (
+                        cfg.delta_c if cfg.delta_c is not None else (g_atk + 2) * step
+                    )
+                    # twice the largest root distance bounds the diameter:
+                    # containment_sets has checked that every node reaches
+                    # the root; dist_root covers the honest nodes,
+                    # adv_root_distance the adversary
+                    inst = _Instance(
+                        f"run{run_idx}", base_graph, base_graph.with_added_node(victims),
+                        honest_n, root, g_atk, rep,
+                        2 * max(int(rep.dist_root.max()), rep.adv_root_distance),
+                        Deltas(delta_c, cfg.delta_d, cfg.delta_e), cfg.master_seed, run_idx,
+                    )
                 for protocol in cfg.protocols:
                     lost = analytic_lost_set(rep, protocol, behavior)
                     row = {
@@ -354,13 +402,8 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                         "ties_count": len(rep.baseline_ties),
                     }
                     if not cfg.analytic_only:
-                        delta_c = (
-                            cfg.delta_c if cfg.delta_c is not None else (g_atk + 2) * step
-                        )
-                        deltas = Deltas(delta_c, cfg.delta_d, cfg.delta_e)
                         lost_sim, conv = simulate_run(
-                            aug, honest_n, root, protocol, behavior, g_atk,
-                            derive_seed(run_seed, protocol), rep, deltas,
+                            inst, protocol, behavior, derive_seed(run_seed, protocol)
                         )
                         row["rln_simulated"] = len(lost_sim) / honest_n
                         row["convergence_round"] = conv
@@ -482,34 +525,57 @@ def _require_instances(instances: int) -> None:
         raise ValueError(f"instances must be at least 1, got {instances}")
 
 
-def _random_instance(rng: Random, n_lo: int, n_hi: int, g_hi: int):
-    """One random (graph, placement, root) instance for the oracle suite."""
+def _attacked_instance(
+    rng: Random,
+    g: Graph,
+    max_edges: int,
+    label: str,
+    master_seed: int,
+    idx: int,
+    deltas: Deltas | None = None,
+) -> _Instance | None:
+    """Instance ``idx`` of an oracle suite on the honest graph ``g``: up to
+    ``max_edges`` attack edges, their victims and the root drawn from
+    ``rng``.  None when some node cannot reach the root, so the instance is
+    skipped deterministically.  ``deltas`` defaults to the campaign's rule
+    for a step of 2: c = (g_atk + 2) * 2."""
+    g_atk = rng.randint(1, min(max_edges, g.n - 1))
+    victims = attack_victims(g, g_atk, rng.getrandbits(48))
+    root = rng.randrange(g.n)
+    try:
+        report = containment_sets(g, root, victims)
+    except ValueError:
+        return None
+    if deltas is None:
+        deltas = Deltas((g_atk + 2) * 2, 1, 1)
+    aug = g.with_added_node(victims)
+    return _Instance(
+        f"{label}{idx}(n={g.n},g={g_atk})", g, aug, g.n, root, g_atk, report,
+        exact_diameter(aug), deltas, master_seed, idx,
+    )
+
+
+def _oracle_graph(rng: Random) -> Graph:
+    """A random honest graph of the oracle suite: n log-uniform in [20, 200],
+    uniform or degree-skewed, redrawn until its largest component (the
+    uniform graph's) has at least 12 nodes."""
     while True:
-        n = int(round(math.exp(rng.uniform(math.log(n_lo), math.log(n_hi)))))
-        n = max(n_lo, min(n_hi, n))
+        n = int(round(math.exp(rng.uniform(math.log(20), math.log(200)))))
+        n = max(20, min(200, n))
         if rng.random() < 0.5:
             m_edges = int(n * rng.uniform(1.2, 3.0))
             g = generate_erdos_renyi(n, min(m_edges, n * (n - 1) // 2), rng.getrandbits(48))
             g, _ = extract_largest_component(g)
         else:
             g = generate_degree_skewed(n, rng.randint(1, 3), rng.getrandbits(48))
-        if g.n >= max(12, n_lo // 2):
-            break
-    g_atk = rng.randint(1, min(g_hi, g.n - 1))
-    victims = attack_victims(g, g_atk, rng.getrandbits(48))
-    root = rng.randrange(g.n)
-    return g, victims, root, g_atk
+        if g.n >= 12:
+            return g
 
 
-def oracle_check(
-    instances: int = 500,
-    master_seed: int = 20240601,
-    n_range: tuple[int, int] = (20, 200),
-    g_range: tuple[int, int] = (1, 10),
-    include_baseline: bool = True,
-) -> OracleReport:
+def oracle_check(instances: int = 500, master_seed: int = 20240601) -> OracleReport:
     """Cross-validate simulated outcomes against the analytic containment
-    sets, convergence bounds, and the disturbance budget on random instances.
+    sets, convergence bounds, and the disturbance budget on random instances:
+    graphs of 20 to 200 nodes (``_oracle_graph``) with 1 to 10 attack edges.
 
     Per instance this executes (attested protocol) a level-minimizing run, a
     non-cheating run, and a disturbance run, plus baseline runs, and records
@@ -522,16 +588,11 @@ def oracle_check(
     while report.instances < instances:
         idx += 1
         rng = Random(derive_seed(master_seed, "oracle", idx))
-        base_honest, victims, root, g_atk = _random_instance(
-            rng, n_range[0], n_range[1], g_range[1]
-        )
-        tag = f"inst{idx}(n={base_honest.n},g={g_atk})"
-        try:
-            rep = containment_sets(base_honest, root, victims)
-        except ValueError:
-            continue  # disconnected placement; instance skipped deterministically
+        inst = _attacked_instance(rng, _oracle_graph(rng), 10, "inst", master_seed, idx)
+        if inst is None:
+            continue
         report.instances += 1
-        viol = report.violations
+        viol, tag, rep, g = report.violations, inst.tag, inst.report, inst.g
 
         # analytic set relations
         if not rep.strict_set <= rep.containment_set:
@@ -541,64 +602,45 @@ def oracle_check(
         if not rep.nocheat_strict_set <= rep.strict_set:
             viol.append(f"{tag}: removing the cheat enlarged the strict set")
 
-        aug, m = base_honest.with_added_node(victims), base_honest.n
-        honest = frozenset(range(base_honest.n))
-        diam = exact_diameter(aug)
-        step = 2
-        deltas = Deltas((g_atk + 2) * step, 1, 1)
-
         # adversary-free convergence: every node legitimate within diam+1
-        diam_h = exact_diameter(base_honest)
-        free_cfg = RunConfig(
-            graph=base_honest, root=root, protocol=ProtocolKind.ATTESTED,
-            deltas=deltas, seed=derive_seed(master_seed, "free", idx),
-            max_rounds=diam_h + 3,
-        )
-        free_out = run(free_cfg)
+        diam_h = exact_diameter(g)
+        free_out = run(RunConfig(
+            graph=g, root=inst.root, protocol=ProtocolKind.ATTESTED,
+            deltas=inst.deltas, seed=inst.seed("free"), max_rounds=diam_h + 3,
+        ))
         snap = free_out.trace[min(diam_h + 1, len(free_out.trace) - 1)]
-        for u in range(base_honest.n):
-            if not detect_legitimate(
-                base_honest, root, frozenset(), free_out.final.keys, snap, u
-            ):
+        for u in range(g.n):
+            if not detect_legitimate(g, inst.root, frozenset(), free_out.final.keys, snap, u):
                 viol.append(f"{tag}: adversary-free node {u} not legitimate at the bound")
                 break
 
         report.cheat_runs += 1
-        _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
-                         diam, honest, master_seed, idx)
+        _check_cheat_run(report, inst)
         report.disturb_runs += 1
-        _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
-                           honest, master_seed, idx)
-        if include_baseline:
-            report.baseline_runs += 1
-            _check_baseline_runs(report, tag, aug, m, root, g_atk, rep, diam,
-                                 honest, master_seed, idx)
+        _check_disturb_run(report, inst)
+        report.baseline_runs += 1
+        _check_baseline_runs(report, inst)
     report.elapsed_seconds = time.perf_counter() - t_begin
     return report
 
 
-def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
-                     diam, honest, master_seed, idx):
-    viol = report.violations
+def _check_cheat_run(report: OracleReport, inst: _Instance) -> None:
+    viol, tag, rep, diam = report.violations, inst.tag, inst.report, inst.diam
+    aug, root, honest = inst.aug, inst.root, inst.honest
     safe = honest - rep.containment_set
     # offers are continuous when the adversary never withdraws, so a short
     # quiet window certifies convergence
     window = diam + 6
-    max_rounds = (diam + 1) + (g_atk + diam + 6) + window
-    cfg = RunConfig(
-        graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
-        adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, g_atk),
-        adversary_node=m, deltas=deltas,
-        seed=derive_seed(master_seed, "cheat", idx),
-        max_rounds=max_rounds, stability_window=window,
-        stability_candidates=honest,
-    )
-    out = run(cfg)
+    max_rounds = (diam + 1) + (inst.g_atk + diam + 6) + window
+    out = run(_attacked_run(
+        inst, ProtocolKind.ATTESTED, AdversaryBehavior.CHEAT_MIN_LEVEL,
+        inst.seed("cheat"), max_rounds, window, honest,
+    ))
     if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], honest):
         viol.append(f"{tag}: cheating-adversary run failed to stabilize")
         return
 
-    malicious = frozenset({m})
+    malicious = frozenset({inst.m})
     keys = out.final.keys
     bound_snap = out.trace[min(diam + 1, len(out.trace) - 1)]
     for u in safe:
@@ -624,9 +666,10 @@ def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
                     f"{sorted(rep.strict_set - ill)}")
 
     # non-cheating adversary: smaller reach, simulated and analytic
-    cfg_h = replace(cfg, adversary=AdversaryConfig(AdversaryBehavior.HONEST_MIN_LEVEL, g_atk),
-                    seed=derive_seed(master_seed, "honestadv", idx))
-    out_h = run(cfg_h)
+    out_h = run(_attacked_run(
+        inst, ProtocolKind.ATTESTED, AdversaryBehavior.HONEST_MIN_LEVEL,
+        inst.seed("honestadv"), max_rounds, window, honest,
+    ))
     report.honest_runs += 1
     ill_h = ill_directed_set(aug, root, malicious, out_h.trace[-1])
     if not ill_h <= rep.nocheat_containment_set:
@@ -637,21 +680,15 @@ def _check_cheat_run(report, tag, aug, m, root, g_atk, rep, deltas,
         viol.append(f"{tag}: non-cheating strict nodes ended well-directed")
 
 
-def _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
-                       honest, master_seed, idx):
-    viol = report.violations
-    candidates = honest - rep.strict_set
+def _check_disturb_run(report: OracleReport, inst: _Instance) -> None:
+    viol, tag, rep = report.violations, inst.tag, inst.report
+    candidates = inst.honest - rep.strict_set
     budget = rep.disturbance_budget
-    t0, window, max_rounds = _disturb_schedule(diam, g_atk, budget)
-    cfg = RunConfig(
-        graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
-        adversary=AdversaryConfig(AdversaryBehavior.DISTURB, g_atk),
-        adversary_node=m, deltas=deltas,
-        seed=derive_seed(master_seed, "disturb", idx),
-        max_rounds=max_rounds, stability_window=window,
-        stability_candidates=frozenset(candidates),
-    )
-    out = run(cfg)
+    t0, window, max_rounds = _disturb_schedule(inst.diam, inst.g_atk, budget)
+    out = run(_attacked_run(
+        inst, ProtocolKind.ATTESTED, AdversaryBehavior.DISTURB,
+        inst.seed("disturb"), max_rounds, window, candidates,
+    ))
     if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], candidates):
         viol.append(f"{tag}: nodes outside the strict set failed to stabilize")
         return
@@ -666,6 +703,44 @@ def _check_disturb_run(report, tag, aug, m, root, g_atk, rep, deltas, diam,
             if detect_stable(tail, (u,)):
                 viol.append(f"{tag}: strictly-lost node {u} went quiet under disturbances")
                 break
+
+
+def _check_baseline_runs(report: OracleReport, inst: _Instance) -> None:
+    # the instance's deltas serve both runs: their step is 2, as in the
+    # attested runs, and the baseline never reads c
+    viol, tag, diam = report.violations, inst.tag, inst.diam
+    honest = inst.honest
+    strict = inst.report.baseline_lost
+    ties = inst.report.baseline_ties
+    candidates = honest - strict
+    # the round allowance comes from the tie nodes' degrees, and the quiet
+    # window has no attack-edge term
+    tie_budget = 4 * sum(inst.aug.degree(u) for u in ties) + 8
+    t0, window, max_rounds = _disturb_schedule(diam, 0, tie_budget // 2)
+    out = run(_attacked_run(
+        inst, ProtocolKind.BASELINE, AdversaryBehavior.DISTURB,
+        inst.seed("base-disturb"), max_rounds, window, candidates,
+    ))
+    if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], candidates):
+        viol.append(f"{tag}: baseline nodes outside the formula set failed to stabilize")
+        return
+    last_round = out.trace[-1].round
+    measured = simulated_lost_set(out, max(t0, last_round - window))
+    if measured != strict:
+        viol.append(
+            f"{tag}: baseline disturbance lost set {sorted(measured)} != "
+            f"formula set {sorted(strict)}"
+        )
+
+    out_c = run(_attacked_run(
+        inst, ProtocolKind.BASELINE, AdversaryBehavior.CHEAT_MIN_LEVEL,
+        inst.seed("base-cheat"), 2 * (diam + 2) + window + 10, window, honest,
+    ))
+    ill = ill_directed_set(inst.aug, inst.root, frozenset({inst.m}), out_c.trace[-1])
+    if not strict <= ill:
+        viol.append(f"{tag}: baseline strictly-closer nodes ended well-directed")
+    if not ill <= (strict | ties):
+        viol.append(f"{tag}: baseline ill set exceeds formula set plus ties")
 
 
 def consistency_check(
@@ -689,6 +764,8 @@ def consistency_check(
     values themselves.
     """
     _require_instances(instances)
+    if deltas.step < 1:
+        raise ValueError(f"deltas.step (d + e) must be positive, got {deltas.step}")
     t_begin = time.perf_counter()
     report = OracleReport()
     idx = -1
@@ -713,28 +790,19 @@ def _consistency_instance(
     g, _ = extract_largest_component(g)
     if g.n < 8:
         return None
-    g_atk = rng.randint(1, min(5, g.n - 1))
-    victims = attack_victims(g, g_atk, rng.getrandbits(48))
-    root = rng.randrange(g.n)
-    try:
-        containment_sets(g, root, victims)
-    except ValueError:
+    inst = _attacked_instance(rng, g, 5, "consistency", master_seed, idx, deltas)
+    if inst is None:
         return None
-    aug, m = g.with_added_node(victims), g.n
-    diam = exact_diameter(aug)
-    bound_time = deltas.c + deltas.step * diam
+    aug, root, tag = inst.aug, inst.root, inst.tag
+    bound_time = deltas.c + deltas.step * inst.diam
     stale_expiry = 2 * deltas.c + deltas.step
-    tag = f"consistency{idx}(n={g.n})"
     behavior = (
         AdversaryBehavior.CHEAT_MIN_LEVEL if idx % 2 == 0 else AdversaryBehavior.DISTURB
     )
-    cfg = RunConfig(
-        graph=aug, root=root, protocol=ProtocolKind.ATTESTED,
-        adversary=AdversaryConfig(behavior, g_atk),
-        adversary_node=m, deltas=deltas,
+    cfg = _attacked_run(
+        inst, ProtocolKind.ATTESTED, behavior, inst.seed("run"),
+        consistency_round(deltas, inst.diam) + inst.diam + 6,
         init_mode=InitMode.ADVERSARIAL,
-        seed=derive_seed(master_seed, "run", idx),
-        max_rounds=consistency_round(deltas, diam) + diam + 6,
     )
 
     violations: list[str] = []
@@ -776,50 +844,3 @@ def _consistency_instance(
 
     run(cfg, per_round_hook=check_round)
     return violations
-
-
-def _check_baseline_runs(report, tag, aug, m, root, g_atk, rep, diam, honest,
-                         master_seed, idx):
-    viol = report.violations
-    strict = rep.baseline_lost
-    ties = rep.baseline_ties
-    # the round allowance comes from the tie nodes' degrees, and the quiet
-    # window has no attack-edge term
-    tie_budget = 4 * sum(aug.degree(u) for u in ties) + 8
-    t0, window, max_rounds = _disturb_schedule(diam, 0, tie_budget // 2)
-    cfg = RunConfig(
-        graph=aug, root=root, protocol=ProtocolKind.BASELINE,
-        adversary=AdversaryConfig(AdversaryBehavior.DISTURB, g_atk),
-        adversary_node=m,
-        seed=derive_seed(master_seed, "base-disturb", idx),
-        max_rounds=max_rounds,
-        stability_window=window,
-        stability_candidates=frozenset(honest - strict),
-    )
-    out = run(cfg)
-    if not out.stopped_early and not detect_stable(
-        out.trace[-(window + 1):], honest - strict
-    ):
-        viol.append(f"{tag}: baseline nodes outside the formula set failed to stabilize")
-        return
-    last_round = out.trace[-1].round
-    measured = simulated_lost_set(out, max(t0, last_round - window))
-    if measured != strict:
-        viol.append(
-            f"{tag}: baseline disturbance lost set {sorted(measured)} != "
-            f"formula set {sorted(strict)}"
-        )
-
-    cfg_c = replace(
-        cfg,
-        adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, g_atk),
-        seed=derive_seed(master_seed, "base-cheat", idx),
-        stability_candidates=frozenset(honest),
-        max_rounds=2 * (diam + 2) + window + 10,
-    )
-    out_c = run(cfg_c)
-    ill = ill_directed_set(aug, root, frozenset({m}), out_c.trace[-1])
-    if not strict <= ill:
-        viol.append(f"{tag}: baseline strictly-closer nodes ended well-directed")
-    if not ill <= (strict | ties):
-        viol.append(f"{tag}: baseline ill set exceeds formula set plus ties")

@@ -125,25 +125,32 @@ def init_node(
     )
 
 
-def _select_parent(
+def _next_state(
     state: NodeState,
     inputs: list[RegisterContent],
     valid: set[int],
-    deg: int,
-    i_start: int,
-) -> tuple[int, int, int]:
-    """Scan from i_start for the first valid minimal neighbor.
+) -> NodeState:
+    """The state update both protocols share, given which neighbors' offers
+    are ``valid``.
 
-    Returns (level, prnt, i_start) after the adaptive-preference update: when
-    the chosen index comes after the old parent in scan order, the scan start
-    moves to it, so the new parent is favored from then on.
+    The root stays at level 0; a node with nothing valid becomes an orphan;
+    any other node adopts the first valid minimal neighbor scanning from
+    i_start, with its identity and chain.  When the chosen index comes after
+    the old parent in scan order, the scan start moves to it, so the new
+    parent is favored from then on (the adaptive preference).
     """
+    deg = len(inputs)
+    i_start = state.i_start % deg if deg else 0
+    my_id = state.keys.public
+    if state.is_root or not valid:
+        level = 0 if state.is_root else None
+        return NodeState(state.keys, level, my_id, state.prnt, i_start,
+                         LevelAttestation.empty(), state.assigned_nids, state.is_root)
     min_level = None
     for j in valid:
         lvl = inputs[j].level
         if min_level is None or lvl < min_level:
             min_level = lvl
-    level = min_level + 1  # type: ignore[operator]
     prnt = state.prnt
     for off in range(deg):
         j = (i_start + off) % deg
@@ -152,7 +159,14 @@ def _select_parent(
                 i_start = j
             prnt = j
             break
-    return level, prnt, i_start
+    adopted = inputs[prnt]
+    return NodeState(
+        state.keys, min_level + 1,  # type: ignore[operator]
+        adopted.id if adopted.id is not None else my_id,
+        prnt, i_start,
+        adopted.att if adopted.att is not None else LevelAttestation.empty(),
+        state.assigned_nids, False,
+    )
 
 
 def step_honest_attested(
@@ -169,15 +183,9 @@ def step_honest_attested(
     node's neighbor numbering; ``now`` is this node's current clock reading,
     also used as the timestamp of every tuple it signs this round.
     """
-    deg = len(inputs)
-    i_start = state.i_start % deg if deg else 0
     my_id = state.keys.public
-
-    if state.is_root:
-        new = NodeState(state.keys, 0, my_id, state.prnt, i_start,
-                        LevelAttestation.empty(), state.assigned_nids, True)
-    else:
-        valid: set[int] = set()
+    valid: set[int] = set()
+    if not state.is_root:  # the root verifies nothing
         for j, reg in enumerate(inputs):
             lvl = reg.level
             if lvl is None or lvl < 0 or reg.att is None:
@@ -185,19 +193,7 @@ def step_honest_attested(
             if is_valid_att(reg.att, my_id, root_id, now, deltas, lvl + 1, backend) and \
                     is_valid_link(reg.att, state.assigned_nids[j], reg.link_sig, backend):
                 valid.add(j)
-        if not valid:
-            new = NodeState(state.keys, None, my_id, state.prnt, i_start,
-                            LevelAttestation.empty(), state.assigned_nids, False)
-        else:
-            level, prnt, i_start = _select_parent(state, inputs, valid, deg, i_start)
-            adopted = inputs[prnt]
-            new = NodeState(
-                state.keys, level,
-                adopted.id if adopted.id is not None else my_id,
-                prnt, i_start,
-                adopted.att,  # type: ignore[arg-type]
-                state.assigned_nids, False,
-            )
+    new = _next_state(state, inputs, valid)
 
     nids = new.assigned_nids
     if new.level is None:
@@ -224,34 +220,11 @@ def step_honest_baseline(
     """One loop iteration of the non-cryptographic baseline (pure).
 
     Validity degenerates to "the advertised level is a non-negative integer";
-    parent selection and the adaptive preference are identical to the
-    attested step.
+    the state update is the attested step's.
     """
-    deg = len(inputs)
-    i_start = state.i_start % deg if deg else 0
+    valid = {j for j, reg in enumerate(inputs)
+             if reg.level is not None and reg.level >= 0}
+    new = _next_state(state, inputs, valid)
     my_id = state.keys.public
-
-    if state.is_root:
-        new = NodeState(state.keys, 0, my_id, state.prnt, i_start,
-                        state.level_att, state.assigned_nids, True)
-    else:
-        valid = {j for j, reg in enumerate(inputs)
-                 if reg.level is not None and reg.level >= 0}
-        if not valid:
-            new = NodeState(state.keys, None, my_id, state.prnt, i_start,
-                            state.level_att, state.assigned_nids, False)
-        else:
-            level, prnt, i_start = _select_parent(state, inputs, valid, deg, i_start)
-            adopted = inputs[prnt]
-            new = NodeState(
-                state.keys, level,
-                adopted.id if adopted.id is not None else my_id,
-                prnt, i_start,
-                state.level_att, state.assigned_nids, False,
-            )
-
-    outputs = [
-        RegisterContent(id=my_id, level=new.level, nid=new.assigned_nids[k])
-        for k in range(deg)
-    ]
-    return new, outputs
+    return new, [RegisterContent(id=my_id, level=new.level, nid=nid)
+                 for nid in new.assigned_nids]

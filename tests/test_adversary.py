@@ -71,7 +71,7 @@ class TestCheatRelay:
         assert 3 in rep.strict_set  # honest distance 4 beats nothing
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=24,
         )
         out = run(cfg)
@@ -82,7 +82,7 @@ class TestCheatRelay:
         aug, m = _relay_instance()
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.HONEST_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.HONEST_MIN_LEVEL),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=24,
         )
         out = run(cfg)
@@ -100,7 +100,7 @@ class TestCheatRelay:
 
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=24,
         )
         run(cfg, per_round_hook=hook)
@@ -127,7 +127,7 @@ class TestCheatRelay:
 
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=24,
         )
         run(cfg, per_round_hook=hook)
@@ -145,7 +145,7 @@ class TestDisturb:
 
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.DISTURB, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=4,
         )
         run(cfg, per_round_hook=hook)
@@ -155,7 +155,7 @@ class TestDisturb:
         aug, m = _relay_instance()
         cfg = RunConfig(
             graph=aug, root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.DISTURB, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
             adversary_node=m, deltas=Deltas(8, 1, 1), max_rounds=40,
         )
         out = run(cfg)
@@ -177,7 +177,7 @@ class TestBaselineAdversary:
 
         cfg = RunConfig(
             graph=aug, root=0, protocol=ProtocolKind.BASELINE,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 1),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=3, max_rounds=5,
         )
         run(cfg, per_round_hook=hook)
@@ -192,7 +192,7 @@ class TestBaselineAdversary:
         assert rep.baseline_ties == frozenset({2})
         cfg = RunConfig(
             graph=aug, root=0, protocol=ProtocolKind.BASELINE,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 1),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=4, max_rounds=12,
         )
         out = run(cfg)

@@ -223,7 +223,7 @@ class TestSimulatedLostSet:
         rep = containment_sets(g, 0, [0, 2])
         out = run(RunConfig(
             graph=g.with_added_node([0, 2]), root=0,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=3, deltas=Deltas(8, 1, 1), max_rounds=24,
         ))
         assert simulated_lost_set(out, 16) == rep.containment_set
@@ -247,7 +247,7 @@ class TestSimulatedLostSet:
             honest = frozenset(range(g.n))
             out = run(RunConfig(
                 graph=aug, root=root,
-                adversary=AdversaryConfig(AdversaryBehavior.DISTURB, g_atk),
+                adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
                 adversary_node=m, deltas=Deltas((g_atk + 2) * 2, 1, 1),
                 max_rounds=400, stability_window=40,
                 stability_candidates=honest - rep.strict_set,

@@ -73,6 +73,21 @@ class TestConfigParsing:
         cfg = parse_campaign_config("graph = er(60,130)\ndelta_d = 0\ndelta_e = 0\ndelta_c = 0")
         assert (cfg.delta_d, cfg.delta_e, cfg.delta_c) == (0, 0, 0)
 
+    @pytest.mark.parametrize("line", [
+        "protocols = attested,attested",
+        "behaviors = disturb,cheat,disturb",
+        "attack_edges = 2,2",
+    ])
+    def test_duplicate_list_entries_rejected(self, line):
+        # a repeated entry would put two runs' worth of rows in one cell
+        with pytest.raises(ValueError, match=f"{line.split()[0]} lists a value twice"):
+            parse_campaign_config(f"graph = er(60,130)\n{line}")
+
+    @pytest.mark.parametrize("key", ["protocols", "behaviors", "attack_edges"])
+    def test_empty_lists_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must list at least one value"):
+            CampaignConfig(graph_spec="er(60,130)", **{key: ()})
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             parse_campaign_config("graph = er(30,60)\nanalytic_only = perhaps")
@@ -255,6 +270,10 @@ class TestConsistencyOracle:
         tags = {re.match(r"consistency(\d+)\(", v).group(1) for v in rep.violations}
         assert len(tags) > 1
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError, match=r"deltas\.step"):
+            campaign.consistency_check(1, deltas=Deltas(1, 0, 0))
+
     def test_stale_chain_valid_until_twice_the_skew(self):
         # instance 158 of seed 7 holds a stale length-1 chain that is still
         # valid at time 4 = 2c + step, which the old threshold c + step * 1
@@ -403,6 +422,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "delta_e must be non-negative" in captured.err
+        assert not out_path.exists()
+
+    def test_campaign_duplicate_attack_edges_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(
+            "graph = er(40,80)\nprotocols = attested,attested\nattack_edges = 2,2\n"
+            f"runs = 2\noutput = {out_path}\n"
+        )
+        assert cli_main(["campaign", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "lists a value twice" in captured.err
         assert not out_path.exists()
 
     def test_error_exit_code(self, capsys):

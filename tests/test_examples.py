@@ -41,3 +41,27 @@ def test_readme_campaign_config_parses():
 def test_demo_runs(name, capsys):
     runpy.run_path(str(ROOT / "demos" / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_benchmark_tracer_finds_its_targets():
+    # bench/tracer.py wraps package functions by name (place_attack_edges,
+    # bfs_distances_avoiding, attestation.extend, the step_honest_* pair,
+    # ...) and bench/run.py calls spantree.place_attack_edges, so removing
+    # one of them breaks the traced benchmark runs
+    import importlib.util
+
+    import spantree
+    from spantree import protocol
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    step = protocol.step_honest_attested
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        assert protocol.step_honest_attested is not step
+    finally:
+        tracer.uninstall()
+    assert protocol.step_honest_attested is step
+    assert callable(spantree.place_attack_edges)

@@ -206,6 +206,35 @@ class TestBaselineStep:
         assert st2.pid == b"adv"
         assert outs[0].level == 1 and outs[0].att is None
 
+    def _stale_attestation(self, reader):
+        att, _ = extend(LevelAttestation.empty(), MODEL.keygen(1), reader.public,
+                        None, 2, MODEL)
+        return att
+
+    def test_root_fixed_point(self):
+        # the root keeps level 0 and, like the attested root, the empty
+        # attestation, whatever it held before
+        root = MODEL.keygen(1)
+        st = init_node(root, 2, random.Random(0), is_root=True)
+        st = st._replace(level=5, level_att=self._stale_attestation(root))
+        regs = [RegisterContent(id=b"adv", level=0), RegisterContent(id=b"hon", level=3)]
+        for _ in range(3):
+            st, outs = step_honest_baseline(st, regs, root.public)
+            assert (st.level, st.pid, st.is_root) == (0, root.public, True)
+            assert st.level_att is LevelAttestation.empty()
+            assert all(o.level == 0 and o.id == root.public and o.att is None for o in outs)
+
+    def test_orphan_when_nothing_valid(self):
+        me = MODEL.keygen(2)
+        st = init_node(me, 2, random.Random(0))
+        st = st._replace(level=4, pid=b"old", prnt=1, level_att=self._stale_attestation(me))
+        regs = [RegisterContent(id=b"neg", level=-1), RegisterContent(id=b"none")]
+        st2, outs = step_honest_baseline(st, regs, b"rootpk")
+        assert (st2.level, st2.pid, st2.prnt) == (None, me.public, 1)
+        assert st2.level_att is LevelAttestation.empty()
+        assert all(o.level is None and o.id == me.public and o.att is None for o in outs)
+        assert [o.nid for o in outs] == list(st.assigned_nids)
+
     def test_four_cycle_levels(self):
         cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         out = run(RunConfig(graph=cycle, root=0, protocol=ProtocolKind.BASELINE, max_rounds=6))

@@ -57,7 +57,7 @@ class TestScheduler:
         def make():
             return RunConfig(
                 graph=aug, root=3,
-                adversary=AdversaryConfig(AdversaryBehavior.DISTURB, 3),
+                adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
                 adversary_node=aug.n - 1, deltas=Deltas(10, 1, 1),
                 init_mode=InitMode.ADVERSARIAL, seed=77, max_rounds=30,
             )
@@ -80,7 +80,7 @@ class TestScheduler:
         aug = triangle.with_added_node([0])
         with pytest.raises(ValueError):
             RunConfig(graph=aug, root=3,
-                      adversary=AdversaryConfig(AdversaryBehavior.DISTURB, 1),
+                      adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
                       adversary_node=3)
 
     def test_max_rounds_validation(self, triangle):
@@ -114,7 +114,7 @@ class TestGcPause:
         aug = g.with_added_node([0, 1])
         cfg = RunConfig(
             graph=aug, root=2,
-            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL, 2),
+            adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=aug.n - 1, max_rounds=12,
         )
         hooked = []
