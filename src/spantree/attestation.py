@@ -12,9 +12,11 @@ Validation cost matters (campaigns validate millions of chains), so each
 attestation caches everything that does not depend on the reader or the
 current time: the head key, internal chain-signature validity, and a
 freshness aggregate.  All caches are maintained in O(1) per appended tuple.
-A node extends its chain toward every neighbor in one ``extend_each`` call
-per round, which computes the parts the extensions share once; the chain
-digest and the canonical serialization are materialized only on demand.
+An ``Extender`` computes once what a node's extensions of one chain at one
+time share; each target's extension and link signature cost two signatures,
+made by ``Extender.toward`` when that target's extension is first needed.
+The chain digest and the canonical serialization are materialized only on
+demand.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class LevelAttestation:
     The chain digest is rolling: each record is absorbed into the digest of
     the chain before it, so two chains agree on the digest iff they agree on
     every canonical record.  ``appended`` computes it eagerly from the
-    parent's; ``extend_each`` leaves it to the first read of ``digest``.
+    parent's; ``Extender.toward`` leaves it to the first read of ``digest``.
     """
 
     __slots__ = ("tuples", "head", "chain_ok", "_bytes", "_digest",
@@ -234,8 +236,8 @@ def extend(
     the neighbor ID the target assigned to the signer.  Extending the empty
     attestation yields a length-1 chain (the root case).
     """
-    return extend_each(level_att, signer, ((target_id, target_assigned_nid),),
-                       ts, backend, step, chain_hint)[0]
+    return Extender(level_att, signer, ts, backend, step, chain_hint).toward(
+        target_id, target_assigned_nid)
 
 
 def extend_each(
@@ -248,23 +250,42 @@ def extend_each(
     chain_hint: bool | None = None,
 ) -> list[tuple[LevelAttestation, Signature]]:
     """``extend`` toward each (target ID, target-assigned neighbor ID) pair
-    of ``targets``, in order.
+    of ``targets``, in order, sharing one ``Extender``."""
+    ext = Extender(level_att, signer, ts, backend, step, chain_hint)
+    return [ext.toward(target_id, nid) for target_id, nid in targets]
 
-    The chain head, ``chain_ok`` and the freshness aggregate are the same
-    for every target and are computed once; each target costs two
-    signatures, and the digest waits for its first read.
+
+class Extender:
+    """What every one-tuple extension of ``level_att`` by ``signer`` at time
+    ``ts`` shares: the chain head, ``chain_ok`` and the freshness aggregate,
+    computed once.  ``toward`` builds one target's extension from them for
+    the cost of two signatures; the digest waits for its first read.
+
+    Holds the chain's tuples, not the attestation, and no target's data.
     """
-    pub, secret = signer.public, signer.secret
-    head, chain_ok, exp_step, exp_val = level_att._next_caches(
-        pub, ts, backend, step, chain_hint)
-    tuples = level_att.tuples
-    sign_level, sign_link = backend.sign_level, backend.sign_link
-    out = []
-    for target_id, nid in targets:
-        att = LevelAttestation(tuples + (AttTuple(pub, ts, sign_level(secret, target_id, ts)),),
-                               head, chain_ok, None, exp_step, exp_val)
-        out.append((att, sign_link(secret, nid, att)))
-    return out
+
+    __slots__ = ("tuples", "pub", "secret", "ts", "backend",
+                 "head", "chain_ok", "exp_step", "exp_val")
+
+    def __init__(self, level_att: LevelAttestation, signer: KeyPair, ts: int, backend,
+                 step: int | None = None, chain_hint: bool | None = None):
+        self.tuples = level_att.tuples
+        self.pub = signer.public
+        self.secret = signer.secret
+        self.ts = ts
+        self.backend = backend
+        self.head, self.chain_ok, self.exp_step, self.exp_val = level_att._next_caches(
+            signer.public, ts, backend, step, chain_hint)
+
+    def toward(self, target_id: bytes | None,
+               nid: bytes | None) -> tuple[LevelAttestation, Signature]:
+        """The extension signed for ``target_id`` and its link signature over
+        ``nid``, the neighbor ID the target assigned to the signer."""
+        secret, ts, backend = self.secret, self.ts, self.backend
+        att = LevelAttestation(
+            self.tuples + (AttTuple(self.pub, ts, backend.sign_level(secret, target_id, ts)),),
+            self.head, self.chain_ok, None, self.exp_step, self.exp_val)
+        return att, backend.sign_link(secret, nid, att)
 
 
 def is_valid_att(

@@ -808,7 +808,8 @@ def _consistency_instance(
     violations: list[str] = []
 
     def check_att(att, reader, reader_id, where, rnd, now, directory, config):
-        if not att.tuples or max(t.t for t in att.tuples) > deltas.c:
+        # a fresh chain usually ends in a fresh tuple: look from the end
+        if not att.tuples or any(t.t > deltas.c for t in reversed(att.tuples)):
             return  # carries fresh signatures; not the stale material
         if now > stale_expiry and is_valid_att(
             att, reader_id, config.keys[root], now, deltas, None, MODEL

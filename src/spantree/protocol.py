@@ -11,15 +11,22 @@ rather than against any external implementation.
 Levels use ``None`` as the "no distance known" sentinel.  A node whose
 neighborhood offers nothing valid becomes an orphan: level None, parent
 pointer to itself, and outputs that every reader rejects.
+
+Both ends of an attested round are lazy.  A reader checks its neighbors'
+offers from the lowest claimed level up and stops at the first valid one,
+so offers above the adopted level are never verified.  A writer computes
+the shared part of its extensions once (an ``Extender``) and publishes one
+register per neighbor whose attestation and link signature are signed when
+first read; most are never read.
 """
 
 from __future__ import annotations
 
 import enum
 from random import Random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .attestation import Deltas, LevelAttestation, extend_each, is_valid_att, is_valid_link
+from .attestation import Deltas, Extender, LevelAttestation, is_valid_att, is_valid_link
 from .crypto import KeyPair, Signature
 
 NID_BYTES = 8
@@ -35,19 +42,90 @@ class InitMode(enum.Enum):
     ADVERSARIAL = "adversarial"
 
 
-class RegisterContent(NamedTuple):
+class RegisterContent:
     """One shared register: what a writer last published toward one neighbor.
 
     ``nid`` is the neighbor ID the writer assigned to the reader.  The
     attestation carried here is the writer's extended chain (one tuple longer
     than the writer's own level); readers enforce length = claimed level + 1.
+
+    A register made by ``_pending_register`` holds an ``Extender`` and the
+    target's ID and assigned neighbor ID in place of ``att`` and
+    ``link_sig``, and signs both on the first read of either.  It keeps
+    copies of the target's IDs, never the target's register, so no register
+    refers to an older round's.  Equality and hashing read all five fields.
     """
 
-    id: bytes | None = None
-    level: int | None = None
-    att: LevelAttestation | None = None
-    nid: bytes | None = None
-    link_sig: Signature | None = None
+    __slots__ = ("id", "level", "nid", "_att", "_link_sig", "_ext", "_to", "_to_nid")
+
+    def __init__(
+        self,
+        id: bytes | None = None,
+        level: int | None = None,
+        att: LevelAttestation | None = None,
+        nid: bytes | None = None,
+        link_sig: Signature | None = None,
+    ):
+        self.id = id
+        self.level = level
+        self.nid = nid
+        self._att = att
+        self._link_sig = link_sig
+        self._ext = None
+
+    def _build(self) -> None:
+        ext: Extender = self._ext  # type: ignore[assignment]
+        self._att, self._link_sig = ext.toward(self._to, self._to_nid)
+        self._ext = None
+
+    @property
+    def att(self) -> LevelAttestation | None:
+        if self._ext is not None:
+            self._build()
+        return self._att
+
+    @property
+    def link_sig(self) -> Signature | None:
+        if self._ext is not None:
+            self._build()
+        return self._link_sig
+
+    def _values(self) -> tuple:
+        return (self.id, self.level, self.att, self.nid, self.link_sig)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RegisterContent):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return ("RegisterContent(id={!r}, level={!r}, att={!r}, nid={!r}, "
+                "link_sig={!r})".format(*self._values()))
+
+
+_new_object = object.__new__
+
+
+def _pending_register(id: bytes, level: int, nid: bytes, ext: Extender,
+                      to: bytes | None, to_nid: bytes | None) -> RegisterContent:
+    """The register whose attestation and link signature are
+    ``ext.toward(to, to_nid)``, built when first read.
+
+    Made without ``__init__``, which would cost as much again: these are
+    most of the registers a run allocates, and ``_att`` and ``_link_sig``
+    are first read after ``_build`` sets them.
+    """
+    reg = _new_object(RegisterContent)
+    reg.id = id
+    reg.level = level
+    reg.nid = nid
+    reg._ext = ext
+    reg._to = to
+    reg._to_nid = to_nid
+    return reg
 
 
 class NodeState(NamedTuple):
@@ -128,45 +206,51 @@ def init_node(
 def _next_state(
     state: NodeState,
     inputs: list[RegisterContent],
-    valid: set[int],
+    accepts: Callable[[int], bool],
 ) -> NodeState:
-    """The state update both protocols share, given which neighbors' offers
-    are ``valid``.
+    """The state update both protocols share, given the predicate that
+    ``accepts`` neighbor ``j``'s offer.
 
-    The root stays at level 0; a node with nothing valid becomes an orphan;
-    any other node adopts the first valid minimal neighbor scanning from
-    i_start, with its identity and chain.  When the chosen index comes after
+    The root stays at level 0 and checks nothing.  Any other node tries the
+    offers that claim a level >= 0, from the lowest claimed level up and in
+    scan order from i_start within a level, and adopts the first one
+    ``accepts`` takes, with its identity and chain: that is the first valid
+    minimal neighbor, and no offer above its level is checked.  A node that
+    accepts nothing becomes an orphan.  When the chosen index comes after
     the old parent in scan order, the scan start moves to it, so the new
     parent is favored from then on (the adaptive preference).
     """
     deg = len(inputs)
     i_start = state.i_start % deg if deg else 0
     my_id = state.keys.public
-    if state.is_root or not valid:
-        level = 0 if state.is_root else None
-        return NodeState(state.keys, level, my_id, state.prnt, i_start,
-                         LevelAttestation.empty(), state.assigned_nids, state.is_root)
-    min_level = None
-    for j in valid:
-        lvl = inputs[j].level
-        if min_level is None or lvl < min_level:
-            min_level = lvl
-    prnt = state.prnt
-    for off in range(deg):
-        j = (i_start + off) % deg
-        if j in valid and inputs[j].level == min_level:
-            if j != prnt and _prec_raw(prnt, j, i_start):
-                i_start = j
-            prnt = j
+    floor = -1  # every offer claiming a level <= floor has been refused
+    while not state.is_root:
+        lvl = None
+        for reg in inputs:
+            claim = reg.level
+            if claim is not None and claim > floor and (lvl is None or claim < lvl):
+                lvl = claim
+        if lvl is None:
             break
-    adopted = inputs[prnt]
-    return NodeState(
-        state.keys, min_level + 1,  # type: ignore[operator]
-        adopted.id if adopted.id is not None else my_id,
-        prnt, i_start,
-        adopted.att if adopted.att is not None else LevelAttestation.empty(),
-        state.assigned_nids, False,
-    )
+        for off in range(deg):
+            j = (i_start + off) % deg
+            if inputs[j].level == lvl and accepts(j):
+                prnt = state.prnt
+                if j != prnt and _prec_raw(prnt, j, i_start):
+                    i_start = j
+                adopted = inputs[j]
+                att = adopted.att
+                return NodeState(
+                    state.keys, lvl + 1,
+                    adopted.id if adopted.id is not None else my_id,
+                    j, i_start,
+                    att if att is not None else LevelAttestation.empty(),
+                    state.assigned_nids, False,
+                )
+        floor = lvl
+    level = 0 if state.is_root else None
+    return NodeState(state.keys, level, my_id, state.prnt, i_start,
+                     LevelAttestation.empty(), state.assigned_nids, state.is_root)
 
 
 def step_honest_attested(
@@ -181,19 +265,22 @@ def step_honest_attested(
 
     ``inputs`` is the node's view of each neighbor's register, indexed by the
     node's neighbor numbering; ``now`` is this node's current clock reading,
-    also used as the timestamp of every tuple it signs this round.
+    also used as the timestamp of every tuple it signs this round.  An offer
+    is valid when its chain is valid for this reader at ``now`` with length
+    claimed level + 1 and its link signature binds it to this edge.  The
+    registers returned sign their chains when first read.
     """
     my_id = state.keys.public
-    valid: set[int] = set()
-    if not state.is_root:  # the root verifies nothing
-        for j, reg in enumerate(inputs):
-            lvl = reg.level
-            if lvl is None or lvl < 0 or reg.att is None:
-                continue
-            if is_valid_att(reg.att, my_id, root_id, now, deltas, lvl + 1, backend) and \
-                    is_valid_link(reg.att, state.assigned_nids[j], reg.link_sig, backend):
-                valid.add(j)
-    new = _next_state(state, inputs, valid)
+    my_nids = state.assigned_nids
+
+    def accepts(j: int) -> bool:
+        reg = inputs[j]
+        att = reg.att
+        return att is not None and \
+            is_valid_att(att, my_id, root_id, now, deltas, reg.level + 1, backend) and \
+            is_valid_link(att, my_nids[j], reg.link_sig, backend)
+
+    new = _next_state(state, inputs, accepts)
 
     nids = new.assigned_nids
     if new.level is None:
@@ -206,10 +293,14 @@ def step_honest_attested(
         chain_hint = att.chain_ok and att.binds_reader(my_id, backend)
     else:
         chain_hint = True
-    extended = extend_each(att, new.keys, [(reg.id, reg.nid) for reg in inputs],
-                           now, backend, deltas.step, chain_hint)
-    return new, [RegisterContent(my_id, new.level, ex_att, nid, link_sig)
-                 for (ex_att, link_sig), nid in zip(extended, nids)]
+    ext = Extender(att, new.keys, now, backend, deltas.step, chain_hint)
+    level = new.level
+    return new, [_pending_register(my_id, level, nid, ext, reg.id, reg.nid)
+                 for reg, nid in zip(inputs, nids)]
+
+
+def _any_offer(j: int) -> bool:
+    return True
 
 
 def step_honest_baseline(
@@ -219,12 +310,11 @@ def step_honest_baseline(
 ) -> tuple[NodeState, list[RegisterContent]]:
     """One loop iteration of the non-cryptographic baseline (pure).
 
-    Validity degenerates to "the advertised level is a non-negative integer";
+    Validity degenerates to "the advertised level is a non-negative integer",
+    which ``_next_state`` already requires, so every such offer is accepted;
     the state update is the attested step's.
     """
-    valid = {j for j, reg in enumerate(inputs)
-             if reg.level is not None and reg.level >= 0}
-    new = _next_state(state, inputs, valid)
+    new = _next_state(state, inputs, _any_offer)
     my_id = state.keys.public
     return new, [RegisterContent(id=my_id, level=new.level, nid=nid)
                  for nid in new.assigned_nids]

@@ -337,6 +337,33 @@ class TestErAnalyticFingerprint:
         assert hashlib.sha256(csv.encode()).hexdigest() == ER_ANALYTIC_CSV_SHA256
 
 
+# SHA-256 of a simulated campaign CSV at the evaluation graph's mean degree
+# (26): er(600,7800), both protocols, the cheat adversary on 10 attack edges,
+# one run at master seed 5.  TestBehaviourFingerprint covers only sparse
+# graphs (n <= 200, mean degree <= 6).  Recorded before registers were
+# signed on first read; a performance change must leave it as it is.
+DENSE_SIMULATED_CSV_SHA256 = "e8af17443714837c6c198382664a6a3d47323182ef9563bd21c943e3feb9055e"
+
+
+class TestDenseSimulatedFingerprint:
+    def test_dense_simulated_csv_unchanged(self):
+        cfg = parse_campaign_config("\n".join([
+            "graph = er(600,7800)",
+            "protocols = attested,baseline",
+            "behaviors = cheat",
+            "attack_edges = 10",
+            "runs = 1",
+            "master_seed = 5",
+            "analytic_only = false",
+            "timestamp_header = false",
+        ]))
+        rows = run_campaign(cfg)
+        assert [r["rln_simulated"] is not None for r in rows if r["run_index"] == 0] == \
+            [True, True]
+        csv = campaign_csv(cfg, rows)
+        assert hashlib.sha256(csv.encode()).hexdigest() == DENSE_SIMULATED_CSV_SHA256
+
+
 class TestCli:
     def test_campaign_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

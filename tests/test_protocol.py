@@ -22,7 +22,8 @@ from spantree import (
     step_honest_attested,
     step_honest_baseline,
 )
-from spantree.crypto import MODEL
+from spantree.attestation import AttTuple, extend_each, is_valid_att, is_valid_link
+from spantree.crypto import MODEL, Ed25519Backend, ModelBackend
 from spantree.graph import exact_diameter
 
 DELTAS = Deltas(1, 1, 1)
@@ -268,3 +269,238 @@ class TestConvergenceBounds:
             ))
             for u in range(g.n):
                 assert detect_legitimate(g, 0, frozenset(), out.final.keys, out.trace[-1], u)
+
+
+def reference_next_state(state, inputs, valid):
+    """The eager rule: given the set of ``valid`` offers, the root keeps
+    level 0, a node with none becomes an orphan, and any other node adopts
+    the first valid minimal neighbor in scan order from i_start."""
+    deg = len(inputs)
+    i_start = state.i_start % deg if deg else 0
+    my_id = state.keys.public
+    if state.is_root or not valid:
+        return state._replace(level=0 if state.is_root else None, pid=my_id,
+                              i_start=i_start, level_att=LevelAttestation.empty())
+    min_level = min(inputs[j].level for j in valid)
+    prnt = state.prnt
+    for off in range(deg):
+        j = (i_start + off) % deg
+        if j in valid and inputs[j].level == min_level:
+            if j != prnt and prec(prnt, j, i_start):
+                i_start = j
+            prnt = j
+            break
+    adopted = inputs[prnt]
+    return state._replace(
+        level=min_level + 1,
+        pid=adopted.id if adopted.id is not None else my_id,
+        prnt=prnt, i_start=i_start,
+        level_att=adopted.att if adopted.att is not None else LevelAttestation.empty(),
+        is_root=False,
+    )
+
+
+def reference_valid_attested(state, inputs, now, deltas, root_id, backend):
+    """Every offer the attested protocol accepts, each one checked."""
+    if state.is_root:
+        return set()
+    my_id = state.keys.public
+    return {
+        j for j, reg in enumerate(inputs)
+        if reg.level is not None and reg.level >= 0 and reg.att is not None
+        and is_valid_att(reg.att, my_id, root_id, now, deltas, reg.level + 1, backend)
+        and is_valid_link(reg.att, state.assigned_nids[j], reg.link_sig, backend)
+    }
+
+
+def reference_valid_baseline(inputs):
+    return {j for j, reg in enumerate(inputs) if reg.level is not None and reg.level >= 0}
+
+
+class CountingBackend(ModelBackend):
+    """A model backend that records what it verifies: the signature of each
+    ``verify_level`` and the attestation of each ``verify_link``."""
+
+    def __init__(self, track_issued=False):
+        super().__init__(track_issued)
+        self.verified = []
+
+    def verify_level(self, public, target_id, ts, sig):
+        self.verified.append(sig)
+        return super().verify_level(public, target_id, ts, sig)
+
+    def verify_link(self, public, nid, att, sig):
+        self.verified.append(att)
+        return super().verify_link(public, nid, att, sig)
+
+
+_OFFER_KINDS = ("valid", "valid", "expired", "misbound", "unbound", "forged",
+                "wrong_head", "wrong_length", "no_att", "negative", "none")
+
+
+def _random_offer(rng, backend, root, keys, reader_id, reader_nid, now):
+    """One neighbor's register toward the reader: a chain from the root (or
+    not) of a random claimed level, valid or broken in one random way."""
+    kind = rng.choice(_OFFER_KINDS)
+    level = rng.randint(0, 3)
+    signers = [root] + [rng.choice(keys) for _ in range(level)]
+    nid = rng.getrandbits(64).to_bytes(8, "big")
+    if kind == "none":
+        return RegisterContent(id=signers[-1].public, nid=nid)
+    if kind == "wrong_head":
+        signers[0] = rng.choice(keys)
+    n = level + 1
+    stale = rng.randrange(n)
+    att, link = LevelAttestation.empty(), None
+    for i, kp in enumerate(signers):
+        ts = now - DELTAS.step * (n - i)  # expires exactly c after now
+        if kind == "expired" and i == stale:
+            ts -= DELTAS.c + 1 + rng.randint(0, 3)
+        target = signers[i + 1].public if i + 1 < n else reader_id
+        if kind == "misbound" and i + 1 == n:
+            target = rng.choice(keys).public
+        bound = b"?" * 8 if kind == "unbound" else reader_nid
+        att, link = extend(att, kp, target, bound, ts, backend)
+    if kind == "forged":
+        tuples = list(att.tuples)
+        p, t, _ = tuples[stale]
+        target = signers[stale + 1].public if stale + 1 < n else reader_id
+        forger = rng.choice([kp for kp in keys if kp.public != p])
+        tuples[stale] = AttTuple(p, t, backend.sign_level(forger.secret, target, t))
+        att = LevelAttestation.from_tuples(tuples, backend)
+        link = backend.sign_link(signers[-1].secret, reader_nid, att)
+    if kind == "no_att":
+        att = link = None
+    claimed = level
+    if kind == "wrong_length":
+        claimed = level + rng.choice((-1, 1))
+    elif kind == "negative":
+        claimed = -rng.randint(1, 3)
+    return RegisterContent(id=signers[-1].public, level=claimed, att=att, nid=nid,
+                           link_sig=link)
+
+
+class TestLazyOfferChoice:
+    """``_next_state`` checks offers from the lowest claimed level up and
+    stops at the first valid one; the eager rule above checks every offer
+    first.  Both must choose the same state."""
+
+    def _cases(self, backend, trials, seed):
+        rng = random.Random(seed)
+        root = backend.keygen(1)
+        me = backend.keygen(2)
+        keys = [backend.keygen(10 + i) for i in range(6)]
+        now = 40
+        for _ in range(trials):
+            deg = rng.randint(0, 7)
+            state = init_node(me, deg, rng, InitMode.ADVERSARIAL, max_level=6)
+            state = state._replace(is_root=rng.random() < 0.1)
+            inputs = [_random_offer(rng, backend, root, keys, me.public,
+                                    state.assigned_nids[j], now) for j in range(deg)]
+            yield root, state, inputs, now
+
+    @pytest.mark.parametrize("track_issued", [False, True], ids=["lazy", "eager"])
+    def test_attested_matches_eager_rule(self, track_issued):
+        backend = CountingBackend(track_issued)
+        adopted_relays = 0  # offers from nodes other than the root
+        for root, state, inputs, now in self._cases(backend, 600, 31 + track_issued):
+            owner = {}
+            for j, reg in enumerate(inputs):
+                if reg.att is not None and reg.att.tuples:
+                    owner[id(reg.att)] = owner[id(reg.att.tuples[-1].sig)] = j
+            backend.verified.clear()
+            new, _ = step_honest_attested(state, inputs, now, DELTAS, root.public, backend)
+            checked = {owner[id(obj)] for obj in backend.verified}
+            valid = reference_valid_attested(state, inputs, now, DELTAS, root.public, backend)
+            assert new == reference_next_state(state, inputs, valid)
+            if state.is_root:
+                assert checked == set()
+            elif new.level is not None:
+                # nothing above the adopted offer, in (level, scan) order
+                deg = len(inputs)
+                start = state.i_start % deg
+
+                def rank(j):
+                    return (inputs[j].level, (j - start) % deg)
+
+                assert all(rank(j) <= rank(new.prnt) for j in checked)
+                adopted_relays += new.level > 1
+        assert adopted_relays > 20
+
+    def test_baseline_matches_eager_rule(self):
+        for root, state, inputs, _ in self._cases(MODEL, 600, 33):
+            new, _ = step_honest_baseline(state, inputs, root.public)
+            assert new == reference_next_state(state, inputs, reference_valid_baseline(inputs))
+
+
+class SignCounter:
+    """Delegates to a backend and counts the signatures asked of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.signs = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sign_level(self, secret, target_id, ts):
+        self.signs += 1
+        return self.inner.sign_level(secret, target_id, ts)
+
+    def sign_link(self, secret, nid, att):
+        self.signs += 1
+        return self.inner.sign_link(secret, nid, att)
+
+
+class TestLazyRegisters:
+    """A register from ``step_honest_attested`` signs on first read, and
+    reads as the register ``extend_each`` gives for the same inputs."""
+
+    @pytest.mark.parametrize("make_backend", [
+        lambda: MODEL, lambda: ModelBackend(track_issued=True), Ed25519Backend,
+    ], ids=["model", "model-eager", "ed25519"])
+    @pytest.mark.parametrize("is_root", [True, False], ids=["root", "node"])
+    def test_matches_extend_each(self, make_backend, is_root):
+        inner = make_backend()
+        backend = SignCounter(inner)
+        root, me = inner.keygen(1), inner.keygen(2)
+        others = [inner.keygen(10 + i) for i in range(3)]
+        node = root if is_root else me
+        st = init_node(node, 4, random.Random(7), is_root=is_root)
+        ts = 4
+        ex, link = extend(LevelAttestation.empty(), root, me.public, st.assigned_nids[0],
+                          ts, inner)
+        inputs = [RegisterContent(root.public, 0, ex, b"r" * 8, link)]
+        inputs += [RegisterContent(id=kp.public, nid=bytes([k]) * 8)
+                   for k, kp in enumerate(others)]
+        now = ts + DELTAS.step
+        new, outs = step_honest_attested(st, inputs, now, DELTAS, root.public, backend)
+        level = 0 if is_root else 1
+        assert new.level == level
+        backend.signs = 0
+        assert [(o.id, o.level, o.nid) for o in outs] == \
+            [(node.public, level, nid) for nid in new.assigned_nids]
+        assert backend.signs == 0
+        ref = extend_each(new.level_att, new.keys, [(r.id, r.nid) for r in inputs],
+                          now, inner, DELTAS.step, True)
+        for out, (ref_att, ref_link), nid in zip(outs, ref, new.assigned_nids):
+            assert out.att.digest == ref_att.digest
+            assert out.att.to_bytes() == ref_att.to_bytes()
+            assert out.link_sig.to_bytes() == ref_link.to_bytes()
+            expected = RegisterContent(node.public, level, ref_att, nid, ref_link)
+            assert out == expected
+            assert hash(out) == hash(expected)
+        assert backend.signs == 2 * len(outs)
+        if getattr(inner, "issued", None) is not None:
+            assert all(o.link_sig.to_bytes() in inner.issued for o in outs)
+
+    def test_equality_reads_every_field(self):
+        a = RegisterContent(id=b"a", level=1, nid=b"n")
+        assert a == RegisterContent(id=b"a", level=1, nid=b"n")
+        assert hash(a) == hash(RegisterContent(id=b"a", level=1, nid=b"n"))
+        assert a != RegisterContent(id=b"a", level=2, nid=b"n")
+        assert a != RegisterContent(id=b"a", level=1, nid=b"m")
+        att, link = extend(LevelAttestation.empty(), MODEL.keygen(1), b"a", b"n", 2, MODEL)
+        assert a != RegisterContent(id=b"a", level=1, att=att, nid=b"n")
+        assert RegisterContent(b"a", 1, att, b"n", link) == \
+            RegisterContent(id=b"a", level=1, att=att, nid=b"n", link_sig=link)

@@ -9,6 +9,7 @@ from spantree import (
     Graph,
     InitMode,
     ProtocolKind,
+    RegisterContent,
     RunConfig,
     Snapshot,
     WalkStatus,
@@ -107,20 +108,41 @@ class TestGcPause:
         finally:
             gc.enable() if was_enabled else gc.disable()
 
-    def test_attested_cheat_run_makes_no_cycles(self):
-        # the pause is safe only while reference counting frees everything
-        # a run allocates
+    @staticmethod
+    def _cheat_run_config():
         g, _ = extract_largest_component(generate_erdos_renyi(30, 60, seed=5))
         aug = g.with_added_node([0, 1])
-        cfg = RunConfig(
+        return RunConfig(
             graph=aug, root=2,
             adversary=AdversaryConfig(AdversaryBehavior.CHEAT_MIN_LEVEL),
             adversary_node=aug.n - 1, max_rounds=12,
         )
+
+    def test_attested_cheat_run_makes_no_cycles(self):
+        # the pause is safe only while reference counting frees everything
+        # a run allocates; the hook reads every register, so all are signed
+        cfg = self._cheat_run_config()
         hooked = []
         gc.collect()
         out = run(cfg, per_round_hook=lambda rnd, config: hooked.append(len(config.registers)))
-        assert hooked == [aug.n] * 12
+        assert hooked == [cfg.graph.n] * 12
+        del out
+        assert gc.collect() == 0
+
+    def test_unread_registers_make_no_cycles_and_hold_no_old_rounds(self):
+        # without a hook most registers are never read, so they stay
+        # unsigned; they must neither form cycles nor keep the registers of
+        # earlier rounds alive: about one round of arcs outlives the run
+        cfg = self._cheat_run_config()
+        gc.collect()
+
+        def live_registers():
+            return sum(isinstance(o, RegisterContent) for o in gc.get_objects())
+
+        before = live_registers()
+        out = run(cfg)
+        assert out.rounds_executed == 12
+        assert live_registers() - before <= 2 * len(cfg.graph.indices)
         del out
         assert gc.collect() == 0
 
