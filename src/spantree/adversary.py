@@ -31,7 +31,7 @@ from random import Random
 
 import numpy as np
 
-from .attestation import Deltas, LevelAttestation, is_valid_att, is_valid_link
+from .attestation import Deltas, LevelAttestation, is_valid_att, is_valid_chain, is_valid_link
 from .crypto import KeyPair, Signature
 from .graph import Graph
 from .protocol import (
@@ -134,19 +134,6 @@ def _withdrawn(state: AdversaryState, k: int) -> RegisterContent:
     return RegisterContent(id=state.keys.public, nid=state.assigned_nids[k])
 
 
-def _plausible_claim(reg: RegisterContent, root_id: bytes, now: int, deltas: Deltas) -> bool:
-    """Reader-independent screening of a neighbor's advertised chain."""
-    if reg.level is None or reg.level < 0 or reg.att is None:
-        return False
-    att = reg.att
-    return (
-        len(att) == reg.level + 1
-        and att.head == root_id
-        and att.chain_ok
-        and now <= deltas.c + att.expiry_base(deltas.step)
-    )
-
-
 def adversary_step(
     cfg: AdversaryConfig,
     state: AdversaryState,
@@ -176,9 +163,7 @@ def adversary_step(
                 state.honest_state, inputs, now, deltas, root_id, backend
             )
         else:
-            state.honest_state, outs = step_honest_baseline(
-                state.honest_state, inputs, root_id
-            )
+            state.honest_state, outs = step_honest_baseline(state.honest_state, inputs)
         return outs
 
     if protocol_kind is ProtocolKind.BASELINE:
@@ -222,11 +207,13 @@ def adversary_step(
 
     # pick harvest sources (minimal-level neighbors) and rotate presentations;
     # each victim is pinned to one source so its refreshed material always
-    # terminates at the same key and its parent identity stays stable
+    # terminates at the same key and its parent identity stays stable; a
+    # source's claim is screened by everything but the reader binding
     claims = {
-        k: inputs[k].level
-        for k in range(deg)
-        if _plausible_claim(inputs[k], root_id, now, deltas)
+        k: reg.level
+        for k, reg in enumerate(inputs)
+        if reg.level is not None and reg.att is not None
+        and is_valid_chain(reg.att, root_id, now, deltas, reg.level + 1)
     }
     state.presented = {}
     if claims:

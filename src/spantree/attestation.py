@@ -9,21 +9,22 @@ signature binds the whole chain to the receiver-assigned neighbor ID, which
 stops a relay from presenting a shortened chain.
 
 Validation cost matters (campaigns validate millions of chains), so each
-attestation caches everything that does not depend on the reader or the
-current time: the head key, internal chain-signature validity, and a
-freshness aggregate.  All caches are maintained in O(1) per appended tuple.
-An ``Extender`` computes once what a node's extensions of one chain at one
-time share; each target's extension and link signature cost two signatures,
-made by ``Extender.toward`` when that target's extension is first needed.
-The chain digest and the canonical serialization are materialized only on
-demand.
+attestation caches what does not depend on the current time: the head key
+and internal chain-signature validity, fixed when the chain is built, a
+freshness aggregate per step value, and the reader-binding answer for the
+last reader asked.  A chain is built in one of two ways: ``from_tuples``
+checks raw tuples, and an ``Extender`` computes once what a node's
+extensions of one chain at one time share, so each target's extension and
+link signature cost two signatures, made by ``Extender.toward`` when that
+target's extension is first needed.  The chain digest is computed on its
+first read and the canonical serialization on request.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .crypto import KeyPair, Signature, digest
 
@@ -58,29 +59,26 @@ class AttTuple(NamedTuple):
 class LevelAttestation:
     """Immutable attestation chain with O(1)-validation caches.
 
-    The chain digest is rolling: each record is absorbed into the digest of
-    the chain before it, so two chains agree on the digest iff they agree on
-    every canonical record.  ``appended`` computes it eagerly from the
-    parent's; ``Extender.toward`` leaves it to the first read of ``digest``.
+    Caches: the head key and ``chain_ok``, set when the chain is built; the
+    freshness aggregate per step value; the reader-binding answer for the
+    last reader asked; and the chain digest, computed on its first read.
+    The digest is rolling: each record is absorbed into the digest of the
+    records before it, so two chains agree on the digest iff they agree on
+    every canonical record.
     """
 
-    __slots__ = ("tuples", "head", "chain_ok", "_bytes", "_digest",
-                 "_exp_step", "_exp_val", "_c4_reader", "_c4_ok",
-                 "_link_sig", "_link_nid", "_link_ok")
+    __slots__ = ("tuples", "head", "chain_ok", "_digest",
+                 "_exp_step", "_exp_val", "_c4_reader", "_c4_ok")
 
-    def __init__(self, tuples, head, chain_ok, dig, exp_step, exp_val):
+    def __init__(self, tuples, head, chain_ok, exp_step, exp_val):
         self.tuples: tuple[AttTuple, ...] = tuples
         self.head: bytes | None = head
         self.chain_ok: bool = chain_ok
-        self._bytes: bytes | None = None
-        self._digest: bytes | None = dig
+        self._digest: bytes | None = None
         self._exp_step: int | None = exp_step
         self._exp_val: int | None = exp_val
         self._c4_reader: bytes | None = None
         self._c4_ok = False
-        self._link_sig = None
-        self._link_nid: bytes | None = None
-        self._link_ok = False
 
     @property
     def digest(self) -> bytes:
@@ -97,47 +95,14 @@ class LevelAttestation:
 
     @classmethod
     def from_tuples(cls, tuples, backend) -> "LevelAttestation":
-        """Rebuild an attestation (and all caches) from raw tuples."""
-        att = _EMPTY
-        for p, t, sig in tuples:
-            att = att.appended(AttTuple(p, t, sig), backend)
-        return att
-
-    def appended(
-        self, tup: AttTuple, backend,
-        step: int | None = None, chain_hint: bool | None = None,
-    ) -> "LevelAttestation":
-        """One-tuple extension; all caches update in constant time.
-
-        ``chain_hint`` short-circuits the internal-signature check when the
-        caller has already verified the previous tuple against the new key;
-        ``step`` propagates the freshness aggregate when the parent's cache
-        matches.
-        """
-        head, chain_ok, exp_step, exp_val = self._next_caches(
-            tup.p, tup.t, backend, step, chain_hint)
-        return LevelAttestation(self.tuples + (tup,), head, chain_ok,
-                                digest(self.digest + _record(tup)), exp_step, exp_val)
-
-    def _next_caches(self, p: bytes, t: int, backend, step, chain_hint):
-        """(head, chain_ok, freshness step, freshness value) of every
-        one-tuple extension by key ``p`` at time ``t``."""
-        n = len(self.tuples)
-        if n == 0:
-            chain_ok = True
-        elif chain_hint is not None:
-            chain_ok = chain_hint
-        else:
-            last = self.tuples[-1]
-            chain_ok = self.chain_ok and backend.verify_level(last.p, p, last.t, last.sig)
-        exp_step = exp_val = None
-        if step is not None:
-            if n == 0:
-                exp_step, exp_val = step, t + step
-            elif self._exp_step == step:
-                exp_step = step
-                exp_val = min(self._exp_val + step, t + step)  # type: ignore[operator]
-        return (self.head if n else p), chain_ok, exp_step, exp_val
+        """Rebuild an attestation from raw (key, timestamp, signature)
+        tuples, checking each signature against the next tuple's key."""
+        tuples = tuple(AttTuple(*tup) for tup in tuples)
+        if not tuples:
+            return _EMPTY
+        chain_ok = all(backend.verify_level(a.p, b.p, a.t, a.sig)
+                       for a, b in zip(tuples, tuples[1:]))
+        return cls(tuples, tuples[0].p, chain_ok, None, None)
 
     def expiry_base(self, step: int) -> int:
         """min over positions i of t_i + step*(n-i+1); the chain is fresh at
@@ -167,9 +132,7 @@ class LevelAttestation:
         return self._c4_ok
 
     def to_bytes(self) -> bytes:
-        if self._bytes is None:
-            self._bytes = b"".join(_record(t) for t in self.tuples)
-        return self._bytes
+        return b"".join(_record(t) for t in self.tuples)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -197,7 +160,7 @@ def _record(tup: AttTuple) -> bytes:
 
 
 _EMPTY_DIGEST = digest(b"")
-_EMPTY = LevelAttestation((), None, True, _EMPTY_DIGEST, None, None)
+_EMPTY = LevelAttestation((), None, True, None, None)
 
 
 def attestation_from_bytes(data: bytes, backend) -> LevelAttestation:
@@ -228,7 +191,6 @@ def extend(
     ts: int,
     backend,
     step: int | None = None,
-    chain_hint: bool | None = None,
 ) -> tuple[LevelAttestation, Signature]:
     """Append the signer's tuple for one neighbor and bind it to the link.
 
@@ -236,30 +198,19 @@ def extend(
     the neighbor ID the target assigned to the signer.  Extending the empty
     attestation yields a length-1 chain (the root case).
     """
-    return Extender(level_att, signer, ts, backend, step, chain_hint).toward(
+    return Extender(level_att, signer, ts, backend, step).toward(
         target_id, target_assigned_nid)
-
-
-def extend_each(
-    level_att: LevelAttestation,
-    signer: KeyPair,
-    targets: Iterable[tuple[bytes | None, bytes | None]],
-    ts: int,
-    backend,
-    step: int | None = None,
-    chain_hint: bool | None = None,
-) -> list[tuple[LevelAttestation, Signature]]:
-    """``extend`` toward each (target ID, target-assigned neighbor ID) pair
-    of ``targets``, in order, sharing one ``Extender``."""
-    ext = Extender(level_att, signer, ts, backend, step, chain_hint)
-    return [ext.toward(target_id, nid) for target_id, nid in targets]
 
 
 class Extender:
     """What every one-tuple extension of ``level_att`` by ``signer`` at time
-    ``ts`` shares: the chain head, ``chain_ok`` and the freshness aggregate,
-    computed once.  ``toward`` builds one target's extension from them for
-    the cost of two signatures; the digest waits for its first read.
+    ``ts`` shares, computed once: the chain head, ``chain_ok`` and, when
+    ``level_att`` holds it for ``step``, the freshness aggregate.
+    ``chain_ok`` needs the previous hop's signature to cover the signer's
+    key, which is ``level_att``'s reader binding for the signer: a node that
+    adopted the chain has that answer memoized.  ``toward`` builds one
+    target's extension from them for the cost of two signatures; the digest
+    waits for its first read.
 
     Holds the chain's tuples, not the attestation, and no target's data.
     """
@@ -268,14 +219,23 @@ class Extender:
                  "head", "chain_ok", "exp_step", "exp_val")
 
     def __init__(self, level_att: LevelAttestation, signer: KeyPair, ts: int, backend,
-                 step: int | None = None, chain_hint: bool | None = None):
+                 step: int | None = None):
         self.tuples = level_att.tuples
         self.pub = signer.public
         self.secret = signer.secret
         self.ts = ts
         self.backend = backend
-        self.head, self.chain_ok, self.exp_step, self.exp_val = level_att._next_caches(
-            signer.public, ts, backend, step, chain_hint)
+        self.exp_step = self.exp_val = None
+        if not level_att.tuples:
+            self.head, self.chain_ok = signer.public, True
+            if step is not None:
+                self.exp_step, self.exp_val = step, ts + step
+            return
+        self.head = level_att.head
+        self.chain_ok = level_att.chain_ok and level_att.binds_reader(signer.public, backend)
+        if step is not None and level_att._exp_step == step:
+            self.exp_step = step
+            self.exp_val = min(level_att._exp_val + step, ts + step)  # type: ignore[operator]
 
     def toward(self, target_id: bytes | None,
                nid: bytes | None) -> tuple[LevelAttestation, Signature]:
@@ -284,8 +244,35 @@ class Extender:
         secret, ts, backend = self.secret, self.ts, self.backend
         att = LevelAttestation(
             self.tuples + (AttTuple(self.pub, ts, backend.sign_level(secret, target_id, ts)),),
-            self.head, self.chain_ok, None, self.exp_step, self.exp_val)
+            self.head, self.chain_ok, self.exp_step, self.exp_val)
         return att, backend.sign_link(secret, nid, att)
+
+
+def is_valid_chain(
+    att: LevelAttestation,
+    root_id: bytes,
+    now: int,
+    deltas: Deltas,
+    expected_length: int | None,
+) -> bool:
+    """Everything ``is_valid_att`` checks that does not depend on the reader.
+
+    Checks, in order: the claimed length (when ``expected_length`` is given),
+    the root head, per-tuple freshness windows and the internal signature
+    chain.  Empty chains are always rejected: only the root itself holds the
+    empty attestation, and an honest neighbor appends its own tuple before
+    writing.
+    """
+    n = len(att.tuples)
+    if expected_length is not None and n != expected_length:
+        return False
+    if n == 0:
+        return False
+    if att.head != root_id:
+        return False
+    if now > deltas.c + att.expiry_base(deltas.step):
+        return False
+    return att.chain_ok
 
 
 def is_valid_att(
@@ -297,26 +284,11 @@ def is_valid_att(
     expected_length: int | None,
     backend,
 ) -> bool:
-    """Full validity check of an attestation for one reader at one time.
-
-    Checks, in order: the claimed length (when ``expected_length`` is given),
-    the root head, per-tuple freshness windows, the internal signature chain,
-    and that the final signature covers the reader's own ID.  Empty chains are
-    always rejected: only the root itself holds the empty attestation, and an
-    honest neighbor appends its own tuple before writing.
-    """
-    n = len(att.tuples)
-    if expected_length is not None and n != expected_length:
-        return False
-    if n == 0:
-        return False
-    if att.head != root_id:
-        return False
-    if now > deltas.c + att.expiry_base(deltas.step):
-        return False
-    if not att.chain_ok:
-        return False
-    return att.binds_reader(reader_id, backend)
+    """Full validity check of an attestation for one reader at one time:
+    ``is_valid_chain``, then that the final signature covers the reader's
+    own ID."""
+    return is_valid_chain(att, root_id, now, deltas, expected_length) and \
+        att.binds_reader(reader_id, backend)
 
 
 def is_valid_link(
@@ -333,16 +305,7 @@ def is_valid_link(
     """
     if len(att.tuples) == 0 or link_sig is None:
         return False
-    if att._link_sig is link_sig and att._link_nid == my_nid_for_sender:
-        return att._link_ok
-    ok = backend.verify_link(att.tuples[-1].p, my_nid_for_sender, att, link_sig)
-    # only eager signatures are memoized: a lazy one holds its attestation,
-    # so keeping it here could close the cycle att -> signature -> att
-    if link_sig.link is None:
-        att._link_sig = link_sig
-        att._link_nid = my_nid_for_sender
-        att._link_ok = ok
-    return ok
+    return backend.verify_link(att.tuples[-1].p, my_nid_for_sender, att, link_sig)
 
 
 def is_consistent(

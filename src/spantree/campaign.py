@@ -255,6 +255,12 @@ def _root_and_report(
     raise ValueError(f"no usable root found after 10 attempts: {last_err}")
 
 
+def _run_deltas(g_atk: int, c: int | None, d: int, e: int) -> Deltas:
+    """The timing bounds of a run with ``g_atk`` attack edges; a clock-skew
+    bound ``c`` of None defaults to (g_atk + 2) steps of d + e."""
+    return Deltas(c if c is not None else (g_atk + 2) * (d + e), d, e)
+
+
 def _disturb_schedule(diam_bound: int, g_atk: int, budget: int) -> tuple[int, int, int]:
     """Round schedule ``(t0, window, max_rounds)`` of a run under attack,
     given a bound on the overlay diameter: the stabilization point, the
@@ -351,7 +357,6 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
     """
     base_graph = graph_from_spec(cfg.graph_spec, cfg.master_seed, cfg.lcc)
     honest_n = base_graph.n
-    step = cfg.delta_d + cfg.delta_e
     cells: dict[tuple, list[dict]] = {
         (p, b, g): [] for p in cfg.protocols for b in cfg.behaviors
         for g in cfg.attack_edges
@@ -370,9 +375,6 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                 d_m = float(rep.dist_adv.mean())
                 eff = d_m + rep.adv_root_distance - 1.0
                 if not cfg.analytic_only:
-                    delta_c = (
-                        cfg.delta_c if cfg.delta_c is not None else (g_atk + 2) * step
-                    )
                     # twice the largest root distance bounds the diameter:
                     # containment_sets has checked that every node reaches
                     # the root; dist_root covers the honest nodes,
@@ -381,7 +383,8 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
                         f"run{run_idx}", base_graph, base_graph.with_added_node(victims),
                         honest_n, root, g_atk, rep,
                         2 * max(int(rep.dist_root.max()), rep.adv_root_distance),
-                        Deltas(delta_c, cfg.delta_d, cfg.delta_e), cfg.master_seed, run_idx,
+                        _run_deltas(g_atk, cfg.delta_c, cfg.delta_d, cfg.delta_e),
+                        cfg.master_seed, run_idx,
                     )
                 for protocol in cfg.protocols:
                     lost = analytic_lost_set(rep, protocol, behavior)
@@ -538,7 +541,7 @@ def _attacked_instance(
     ``max_edges`` attack edges, their victims and the root drawn from
     ``rng``.  None when some node cannot reach the root, so the instance is
     skipped deterministically.  ``deltas`` defaults to the campaign's rule
-    for a step of 2: c = (g_atk + 2) * 2."""
+    (``_run_deltas``) for d = e = 1."""
     g_atk = rng.randint(1, min(max_edges, g.n - 1))
     victims = attack_victims(g, g_atk, rng.getrandbits(48))
     root = rng.randrange(g.n)
@@ -547,7 +550,7 @@ def _attacked_instance(
     except ValueError:
         return None
     if deltas is None:
-        deltas = Deltas((g_atk + 2) * 2, 1, 1)
+        deltas = _run_deltas(g_atk, None, 1, 1)
     aug = g.with_added_node(victims)
     return _Instance(
         f"{label}{idx}(n={g.n},g={g_atk})", g, aug, g.n, root, g_atk, report,

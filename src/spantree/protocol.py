@@ -15,9 +15,11 @@ pointer to itself, and outputs that every reader rejects.
 Both ends of an attested round are lazy.  A reader checks its neighbors'
 offers from the lowest claimed level up and stops at the first valid one,
 so offers above the adopted level are never verified.  A writer computes
-the shared part of its extensions once (an ``Extender``) and publishes one
-register per neighbor whose attestation and link signature are signed when
-first read; most are never read.
+the shared part of its extensions once (an ``Extender``, whose check of the
+previous hop is the reader binding the node verified, and memoized, when it
+adopted the chain) and publishes one register per neighbor whose
+attestation and link signature are signed when first read; most are never
+read.
 """
 
 from __future__ import annotations
@@ -285,15 +287,7 @@ def step_honest_attested(
     nids = new.assigned_nids
     if new.level is None:
         return new, [RegisterContent(id=my_id, nid=nid) for nid in nids]
-    att = new.level_att
-    if att.tuples:
-        # the previous-hop signature check is identical for every
-        # neighbor: it binds this node's own key (same check as the
-        # reader-binding condition evaluated when the chain was adopted)
-        chain_hint = att.chain_ok and att.binds_reader(my_id, backend)
-    else:
-        chain_hint = True
-    ext = Extender(att, new.keys, now, backend, deltas.step, chain_hint)
+    ext = Extender(new.level_att, new.keys, now, backend, deltas.step)
     level = new.level
     return new, [_pending_register(my_id, level, nid, ext, reg.id, reg.nid)
                  for reg, nid in zip(inputs, nids)]
@@ -306,7 +300,6 @@ def _any_offer(j: int) -> bool:
 def step_honest_baseline(
     state: NodeState,
     inputs: list[RegisterContent],
-    root_id: bytes,
 ) -> tuple[NodeState, list[RegisterContent]]:
     """One loop iteration of the non-cryptographic baseline (pure).
 

@@ -29,8 +29,8 @@ from .adversary import (
     adversary_step,
     make_adversary_state,
 )
-from .attestation import AttTuple, Deltas, LevelAttestation
-from .crypto import MODEL, KeyPair, level_message, link_message
+from .attestation import Deltas, LevelAttestation
+from .crypto import MODEL, KeyPair
 from .graph import Graph, bfs_distances
 from .protocol import (
     InitMode,
@@ -276,7 +276,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
                     states[u], ins, now + offsets[u], deltas, root_id, backend
                 )
             else:
-                st, outs = step_honest_baseline(states[u], ins, root_id)
+                st, outs = step_honest_baseline(states[u], ins)
             new_states[u] = st
             new_out[u] = outs
         if m is not None:
@@ -334,7 +334,7 @@ def _plant_attestation(
     chain = [keys[rng.randrange(n)].public for _ in range(length)]
     if rng.random() < 0.5:
         chain[0] = root_id
-    att = LevelAttestation.empty()
+    tuples = []
     for i, p in enumerate(chain):
         ts = rng.randint(0, deltas.c)
         if i + 1 < length:
@@ -342,15 +342,13 @@ def _plant_attestation(
         else:
             target = reader_id if rng.random() < bind_probability \
                 else keys[rng.randrange(n)].public
-        sig = backend.sign(secret_by_pub[p], level_message(target, ts))
         if rng.random() < 0.15:  # some chains are corrupted outright
-            sig = backend.sign(secret_by_pub[p], level_message(b"bogus", ts))
-        att = att.appended(AttTuple(p, ts, sig), backend)
+            target = b"bogus"
+        tuples.append((p, ts, backend.sign_level(secret_by_pub[p], target, ts)))
+    att = LevelAttestation.from_tuples(tuples, backend)
     bound_nid = reader_nid if rng.random() < bind_probability \
         else rng.getrandbits(64).to_bytes(8, "big")
-    link = backend.sign(secret_by_pub[att.tuples[-1].p],
-                        link_message(bound_nid, att.digest))
-    return att, link
+    return att, backend.sign_link(secret_by_pub[chain[-1]], bound_nid, att)
 
 
 def _plant_register(

@@ -6,10 +6,10 @@ from spantree import Graph
 from spantree.attestation import (
     AttTuple,
     Deltas,
+    Extender,
     LevelAttestation,
     attestation_from_bytes,
     extend,
-    extend_each,
     is_consistent,
     is_valid_att,
     is_valid_link,
@@ -184,58 +184,60 @@ class TestSerialization:
         assert sig.to_bytes() == expected
 
 
-def _extend_reference(att, signer, target_id, nid, ts, backend, step, chain_hint):
+def _extend_reference(att, signer, target_id, nid, ts, backend, step):
     """One extension spelled out from the primitives: level signature,
-    appended tuple, link signature over the new digest."""
+    chain rebuilt from its tuples, link signature over the new digest."""
     sig = backend.sign(signer.secret, level_message(target_id, ts))
-    ex = att.appended(AttTuple(signer.public, ts, sig), backend, step, chain_hint)
+    ex = LevelAttestation.from_tuples(att.tuples + ((signer.public, ts, sig),), backend)
+    if step is not None:
+        ex.expiry_base(step)
     return ex, backend.sign(signer.secret, link_message(nid, ex.digest))
 
 
 class TestExtendEach:
-    """The per-node writer equals one reference extension per target."""
+    """One ``Extender`` shared by every target, and ``extend`` per target,
+    equal one reference extension per target."""
 
     @pytest.mark.parametrize("backend", [MODEL, Ed25519Backend()], ids=["model", "ed25519"])
-    @pytest.mark.parametrize("base_len,hinted", [(0, True), (3, True), (3, False)])
+    @pytest.mark.parametrize("base_len,bound", [(0, True), (3, True), (3, False)])
     @pytest.mark.parametrize("step", [STEP, None])
-    def test_matches_reference_per_target(self, backend, base_len, hinted, step):
+    def test_matches_reference_per_target(self, backend, base_len, bound, step):
+        # ``bound``: the last tuple of the chain extended signs the signer's
+        # key; if it signs another key, no extension may check as a chain
         keys = [backend.keygen(40 + i) for i in range(base_len + 4)]
         att = LevelAttestation.empty()
         for j in range(base_len):
-            att, _ = extend(att, keys[j], keys[j + 1].public, b"n" * 8, j * STEP,
+            target = keys[j + 1] if j + 1 < base_len or bound else keys[-3]
+            att, _ = extend(att, keys[j], target.public, b"n" * 8, j * STEP,
                             backend, step=STEP)
         signer = keys[base_len]
-        if not hinted:
-            chain_hint = None
-        elif att.tuples:
-            chain_hint = att.chain_ok and att.binds_reader(signer.public, backend)
-        else:
-            chain_hint = True
         targets = [(keys[-1].public, b"a" * 8), (None, None), (keys[-2].public, b"b" * 8)]
         ts = (base_len + 1) * STEP
-        fused = extend_each(att, signer, targets, ts, backend, step, chain_hint)
-        single = [extend(att, signer, tid, nid, ts, backend, step, chain_hint)
-                  for tid, nid in targets]
-        ref = [_extend_reference(att, signer, tid, nid, ts, backend, step, chain_hint)
+        ext = Extender(att, signer, ts, backend, step)
+        shared = [ext.toward(tid, nid) for tid, nid in targets]
+        single = [extend(att, signer, tid, nid, ts, backend, step) for tid, nid in targets]
+        ref = [_extend_reference(att, signer, tid, nid, ts, backend, step)
                for tid, nid in targets]
-        assert len(fused) == len(targets)
-        for got, one, want in zip(fused, single, ref):
+        for got, one, want in zip(shared, single, ref):
             for (ex, link) in (got, one):
                 assert ex.tuples == want[0].tuples
                 assert ex.digest == want[0].digest
                 assert ex.to_bytes() == want[0].to_bytes()
                 assert ex.head == want[0].head == keys[0].public
-                assert ex.chain_ok is want[0].chain_ok is True
+                assert ex.chain_ok is want[0].chain_ok is bound
                 assert (ex._exp_step, ex._exp_val) == (want[0]._exp_step, want[0]._exp_val)
                 assert link.to_bytes() == want[1].to_bytes()
-        reader = keys[-1].public
-        assert is_valid_att(fused[0][0], reader, keys[0].public, ts, DELTAS,
-                            base_len + 1, backend)
-        assert is_valid_link(fused[0][0], b"a" * 8, fused[0][1], backend)
+        # each extension is valid exactly for the reader it was signed for,
+        # and for none if the chain extended did not bind the signer
+        for (ex, _), (tid, _) in zip(shared + single, targets * 2):
+            for reader in keys:
+                assert is_valid_att(ex, reader.public, keys[0].public, ts, DELTAS,
+                                    base_len + 1, backend) is (bound and reader.public == tid)
+        assert is_valid_link(shared[0][0], b"a" * 8, shared[0][1], backend)
 
 
 def _random_chain(seed, backend):
-    """A chain of 1-8 hops, each written by ``extend_each`` toward 1-3
+    """A chain of 1-8 hops, each written by ``extend`` toward 1-3
     targets (IDs and nids drawn with ``None`` and ``b""`` among them) and
     continued along a random one.  Returns the last hop's (attestation,
     link signature, nid) triples."""
@@ -248,7 +250,7 @@ def _random_chain(seed, backend):
         targets = [(rng.choice(ids + [k.public for k in keys]), rng.choice(ids))
                    for _ in range(rng.randint(1, 3))]
         step = rng.choice([STEP, None])
-        out = extend_each(att, signer, targets, ts, backend, step)
+        out = [extend(att, signer, tid, nid, ts, backend, step) for tid, nid in targets]
         if j == len(keys) - 1:
             return [(ex, link, nid) for (ex, link), (_, nid) in zip(out, targets)]
         att = out[rng.randrange(len(out))][0]
@@ -313,8 +315,7 @@ class TestLazyModelSignatures:
         keys = [MODEL.keygen(i) for i in range(2)]
         att = LevelAttestation.empty()
         for j in range(5000):
-            [(att, _)] = extend_each(att, keys[j % 2], [(keys[(j + 1) % 2].public, None)],
-                                     j, MODEL)
+            att, _ = extend(att, keys[j % 2], keys[(j + 1) % 2].public, None, j, MODEL)
         assert att.digest == LevelAttestation.from_tuples(att.tuples, MODEL).digest
 
 

@@ -22,7 +22,7 @@ from spantree import (
     step_honest_attested,
     step_honest_baseline,
 )
-from spantree.attestation import AttTuple, extend_each, is_valid_att, is_valid_link
+from spantree.attestation import AttTuple, is_valid_att, is_valid_link
 from spantree.crypto import MODEL, Ed25519Backend, ModelBackend
 from spantree.graph import exact_diameter
 
@@ -202,7 +202,7 @@ class TestBaselineStep:
             RegisterContent(id=b"adv", level=0),
             RegisterContent(id=b"hon", level=3),
         ]
-        st2, outs = step_honest_baseline(st, regs, b"rootpk")
+        st2, outs = step_honest_baseline(st, regs)
         assert st2.level == 1
         assert st2.pid == b"adv"
         assert outs[0].level == 1 and outs[0].att is None
@@ -220,7 +220,7 @@ class TestBaselineStep:
         st = st._replace(level=5, level_att=self._stale_attestation(root))
         regs = [RegisterContent(id=b"adv", level=0), RegisterContent(id=b"hon", level=3)]
         for _ in range(3):
-            st, outs = step_honest_baseline(st, regs, root.public)
+            st, outs = step_honest_baseline(st, regs)
             assert (st.level, st.pid, st.is_root) == (0, root.public, True)
             assert st.level_att is LevelAttestation.empty()
             assert all(o.level == 0 and o.id == root.public and o.att is None for o in outs)
@@ -230,7 +230,7 @@ class TestBaselineStep:
         st = init_node(me, 2, random.Random(0))
         st = st._replace(level=4, pid=b"old", prnt=1, level_att=self._stale_attestation(me))
         regs = [RegisterContent(id=b"neg", level=-1), RegisterContent(id=b"none")]
-        st2, outs = step_honest_baseline(st, regs, b"rootpk")
+        st2, outs = step_honest_baseline(st, regs)
         assert (st2.level, st2.pid, st2.prnt) == (None, me.public, 1)
         assert st2.level_att is LevelAttestation.empty()
         assert all(o.level is None and o.id == me.public and o.att is None for o in outs)
@@ -429,7 +429,7 @@ class TestLazyOfferChoice:
 
     def test_baseline_matches_eager_rule(self):
         for root, state, inputs, _ in self._cases(MODEL, 600, 33):
-            new, _ = step_honest_baseline(state, inputs, root.public)
+            new, _ = step_honest_baseline(state, inputs)
             assert new == reference_next_state(state, inputs, reference_valid_baseline(inputs))
 
 
@@ -454,7 +454,7 @@ class SignCounter:
 
 class TestLazyRegisters:
     """A register from ``step_honest_attested`` signs on first read, and
-    reads as the register ``extend_each`` gives for the same inputs."""
+    reads as the register ``extend`` gives for the same inputs."""
 
     @pytest.mark.parametrize("make_backend", [
         lambda: MODEL, lambda: ModelBackend(track_issued=True), Ed25519Backend,
@@ -481,8 +481,8 @@ class TestLazyRegisters:
         assert [(o.id, o.level, o.nid) for o in outs] == \
             [(node.public, level, nid) for nid in new.assigned_nids]
         assert backend.signs == 0
-        ref = extend_each(new.level_att, new.keys, [(r.id, r.nid) for r in inputs],
-                          now, inner, DELTAS.step, True)
+        ref = [extend(new.level_att, new.keys, r.id, r.nid, now, inner, DELTAS.step)
+               for r in inputs]
         for out, (ref_att, ref_link), nid in zip(outs, ref, new.assigned_nids):
             assert out.att.digest == ref_att.digest
             assert out.att.to_bytes() == ref_att.to_bytes()

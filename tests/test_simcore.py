@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,23 @@ class TestGcPause:
         gc.collect()
         out = run(cfg, per_round_hook=lambda rnd, config: hooked.append(len(config.registers)))
         assert hooked == [cfg.graph.n] * 12
+        del out
+        assert gc.collect() == 0
+
+    def test_attested_adversarial_start_makes_no_cycles(self):
+        # planted chains carry lazy link signatures that refer to their
+        # attestation; the attestation must not refer back to them
+        cfg = replace(self._cheat_run_config(), init_mode=InitMode.ADVERSARIAL,
+                      deltas=Deltas(8, 1, 1), seed=3)
+        signed = []
+
+        def read_links(rnd, config):
+            signed.extend(reg.link_sig.to_bytes() for row in config.registers
+                          for reg in row if reg.link_sig is not None)
+
+        gc.collect()
+        out = run(cfg, per_round_hook=read_links)
+        assert out.rounds_executed == 12 and signed
         del out
         assert gc.collect() == 0
 
