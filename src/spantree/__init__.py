@@ -26,7 +26,6 @@ from .attestation import (
     AttTuple,
     Deltas,
     LevelAttestation,
-    attestation_from_bytes,
     extend,
     is_consistent,
     is_valid_att,

@@ -18,9 +18,11 @@ behaviors are implemented:
 The relay never signs with honest secrets: every signature it emits was read
 verbatim from one of its input registers.  Because a register carries one
 identity per round, the adversary presents victims to its minimal-level
-neighbors in rotation and caches the harvested material per victim; caches
-are re-validated before every delivery so expired chains are withdrawn, and
-re-harvested continuously to defeat the freshness windows.
+neighbors in rotation and holds one harvested chain and link signature per
+victim.  The offer is read off the chain: its length less one is the level
+and its last key the identity claimed.  A held chain is re-validated before
+every delivery so expired chains are withdrawn, and re-harvested
+continuously to defeat the freshness windows.
 """
 
 from __future__ import annotations
@@ -56,21 +58,13 @@ class AdversaryConfig:
 
 
 @dataclass(slots=True)
-class CachedOffer:
-    att: LevelAttestation
-    link_sig: Signature
-    level: int
-    claimed_id: bytes
-
-
-@dataclass(slots=True)
 class AdversaryState:
-    """Mutable adversary bookkeeping, owned by the run scheduler."""
+    """Mutable adversary bookkeeping, owned by the run scheduler.
+    ``cache`` maps a victim to the chain and link signature held for it."""
 
-    node: int
     keys: KeyPair
     assigned_nids: tuple[bytes, ...]
-    cache: dict[int, CachedOffer] = field(default_factory=dict)
+    cache: dict[int, tuple[LevelAttestation, Signature]] = field(default_factory=dict)
     presented: dict[int, int] = field(default_factory=dict)
     rotation: int = 0
     honest_state: NodeState | None = None
@@ -112,7 +106,6 @@ def place_attack_edges(g: Graph, num_edges: int, seed: int) -> tuple[Graph, int]
 
 def make_adversary_state(
     cfg: AdversaryConfig,
-    node: int,
     neighbor_count: int,
     keys: KeyPair,
     rng: Random,
@@ -126,8 +119,7 @@ def make_adversary_state(
         from .protocol import InitMode, init_node
 
         honest_state = init_node(keys, neighbor_count, rng, InitMode.CLEAN)
-    return AdversaryState(node=node, keys=keys, assigned_nids=nids,
-                          honest_state=honest_state)
+    return AdversaryState(keys=keys, assigned_nids=nids, honest_state=honest_state)
 
 
 def _withdrawn(state: AdversaryState, k: int) -> RegisterContent:
@@ -187,23 +179,17 @@ def adversary_step(
             continue
         if not is_valid_link(reg.att, victim_reg.nid, reg.link_sig, backend):
             continue
-        old = state.cache.get(victim)
-        terminal = reg.att.tuples[-1].p
+        held, _ = state.cache.get(victim, (None, None))
         if (
-            old is None
-            or len(reg.att) < len(old.att)
+            held is None
+            or len(reg.att) < len(held)
             # keep the terminal key stable across refreshes unless the held
             # offer cannot be delivered anymore anyway
-            or (len(reg.att) == len(old.att) and terminal == old.claimed_id)
-            or not is_valid_att(old.att, victim_reg.id, root_id, now + deltas.step,
-                                deltas, old.level + 1, backend)
+            or (len(reg.att) == len(held) and reg.att.tuples[-1].p == held.tuples[-1].p)
+            or not is_valid_att(held, victim_reg.id, root_id, now + deltas.step,
+                                deltas, None, backend)
         ):
-            state.cache[victim] = CachedOffer(
-                att=reg.att,
-                link_sig=reg.link_sig,
-                level=reg.level,
-                claimed_id=terminal,
-            )
+            state.cache[victim] = (reg.att, reg.link_sig)
 
     # pick harvest sources (minimal-level neighbors) and rotate presentations;
     # each victim is pinned to one source so its refreshed material always
@@ -235,22 +221,22 @@ def adversary_step(
                 RegisterContent(id=inputs[victim].id, nid=inputs[victim].nid)
             )
             continue
-        offer = state.cache.get(k)
+        att, link_sig = state.cache.get(k, (None, None))
         if (
             cheat_phase
-            and offer is not None
+            and att is not None
             and inputs[k].id is not None
             # deliver only what will still verify when the victim reads it
-            and is_valid_att(offer.att, inputs[k].id, root_id, now + deltas.step,
-                             deltas, offer.level + 1, backend)
+            and is_valid_att(att, inputs[k].id, root_id, now + deltas.step,
+                             deltas, None, backend)
         ):
             outputs.append(
                 RegisterContent(
-                    id=offer.claimed_id,
-                    level=offer.level,
-                    att=offer.att,
+                    id=att.tuples[-1].p,
+                    level=len(att) - 1,
+                    att=att,
                     nid=state.assigned_nids[k],
-                    link_sig=offer.link_sig,
+                    link_sig=link_sig,
                 )
             )
         else:

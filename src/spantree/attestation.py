@@ -9,15 +9,15 @@ signature binds the whole chain to the receiver-assigned neighbor ID, which
 stops a relay from presenting a shortened chain.
 
 Validation cost matters (campaigns validate millions of chains), so each
-attestation caches what does not depend on the current time: the head key
-and internal chain-signature validity, fixed when the chain is built, a
-freshness aggregate per step value, and the reader-binding answer for the
-last reader asked.  A chain is built in one of two ways: ``from_tuples``
-checks raw tuples, and an ``Extender`` computes once what a node's
-extensions of one chain at one time share, so each target's extension and
-link signature cost two signatures, made by ``Extender.toward`` when that
-target's extension is first needed.  The chain digest is computed on its
-first read and the canonical serialization on request.
+attestation caches what does not depend on the current time: internal
+chain-signature validity, fixed when the chain is built, a freshness
+aggregate per step value, and the reader-binding answer for the last reader
+asked.  A chain is built in one of two ways: ``from_tuples`` checks raw
+tuples, and an ``Extender`` computes once what a node's extensions of one
+chain at one time share, so each target's extension and link signature cost
+two signatures, made by ``Extender.toward`` when that target's extension is
+first needed.  The chain digest is computed on its first read and the
+canonical bytes it is computed from on request.
 """
 
 from __future__ import annotations
@@ -59,20 +59,19 @@ class AttTuple(NamedTuple):
 class LevelAttestation:
     """Immutable attestation chain with O(1)-validation caches.
 
-    Caches: the head key and ``chain_ok``, set when the chain is built; the
-    freshness aggregate per step value; the reader-binding answer for the
-    last reader asked; and the chain digest, computed on its first read.
+    Caches: ``chain_ok``, set when the chain is built; the freshness
+    aggregate per step value; the reader-binding answer for the last reader
+    asked; and the chain digest, computed on its first read.
     The digest is rolling: each record is absorbed into the digest of the
     records before it, so two chains agree on the digest iff they agree on
     every canonical record.
     """
 
-    __slots__ = ("tuples", "head", "chain_ok", "_digest",
+    __slots__ = ("tuples", "chain_ok", "_digest",
                  "_exp_step", "_exp_val", "_c4_reader", "_c4_ok")
 
-    def __init__(self, tuples, head, chain_ok, exp_step, exp_val):
+    def __init__(self, tuples, chain_ok, exp_step, exp_val):
         self.tuples: tuple[AttTuple, ...] = tuples
-        self.head: bytes | None = head
         self.chain_ok: bool = chain_ok
         self._digest: bytes | None = None
         self._exp_step: int | None = exp_step
@@ -102,7 +101,7 @@ class LevelAttestation:
             return _EMPTY
         chain_ok = all(backend.verify_level(a.p, b.p, a.t, a.sig)
                        for a, b in zip(tuples, tuples[1:]))
-        return cls(tuples, tuples[0].p, chain_ok, None, None)
+        return cls(tuples, chain_ok, None, None)
 
     def expiry_base(self, step: int) -> int:
         """min over positions i of t_i + step*(n-i+1); the chain is fresh at
@@ -160,27 +159,7 @@ def _record(tup: AttTuple) -> bytes:
 
 
 _EMPTY_DIGEST = digest(b"")
-_EMPTY = LevelAttestation((), None, True, None, None)
-
-
-def attestation_from_bytes(data: bytes, backend) -> LevelAttestation:
-    """Inverse of ``LevelAttestation.to_bytes``."""
-    tuples = []
-    off = 0
-    view = memoryview(data)
-    while off < len(data):
-        (klen,) = _U32.unpack_from(view, off)
-        off += 4
-        p = bytes(view[off : off + klen])
-        off += klen
-        (t,) = _U64.unpack_from(view, off)
-        off += 8
-        (slen,) = _U32.unpack_from(view, off)
-        off += 4
-        sig = Signature.from_bytes(bytes(view[off : off + slen]))
-        off += slen
-        tuples.append(AttTuple(p, t, sig))
-    return LevelAttestation.from_tuples(tuples, backend)
+_EMPTY = LevelAttestation((), True, None, None)
 
 
 def extend(
@@ -204,8 +183,8 @@ def extend(
 
 class Extender:
     """What every one-tuple extension of ``level_att`` by ``signer`` at time
-    ``ts`` shares, computed once: the chain head, ``chain_ok`` and, when
-    ``level_att`` holds it for ``step``, the freshness aggregate.
+    ``ts`` shares, computed once: ``chain_ok`` and, when ``level_att`` holds
+    it for ``step``, the freshness aggregate.
     ``chain_ok`` needs the previous hop's signature to cover the signer's
     key, which is ``level_att``'s reader binding for the signer: a node that
     adopted the chain has that answer memoized.  ``toward`` builds one
@@ -216,7 +195,7 @@ class Extender:
     """
 
     __slots__ = ("tuples", "pub", "secret", "ts", "backend",
-                 "head", "chain_ok", "exp_step", "exp_val")
+                 "chain_ok", "exp_step", "exp_val")
 
     def __init__(self, level_att: LevelAttestation, signer: KeyPair, ts: int, backend,
                  step: int | None = None):
@@ -227,11 +206,10 @@ class Extender:
         self.backend = backend
         self.exp_step = self.exp_val = None
         if not level_att.tuples:
-            self.head, self.chain_ok = signer.public, True
+            self.chain_ok = True
             if step is not None:
                 self.exp_step, self.exp_val = step, ts + step
             return
-        self.head = level_att.head
         self.chain_ok = level_att.chain_ok and level_att.binds_reader(signer.public, backend)
         if step is not None and level_att._exp_step == step:
             self.exp_step = step
@@ -244,7 +222,7 @@ class Extender:
         secret, ts, backend = self.secret, self.ts, self.backend
         att = LevelAttestation(
             self.tuples + (AttTuple(self.pub, ts, backend.sign_level(secret, target_id, ts)),),
-            self.head, self.chain_ok, self.exp_step, self.exp_val)
+            self.chain_ok, self.exp_step, self.exp_val)
         return att, backend.sign_link(secret, nid, att)
 
 
@@ -258,17 +236,15 @@ def is_valid_chain(
     """Everything ``is_valid_att`` checks that does not depend on the reader.
 
     Checks, in order: the claimed length (when ``expected_length`` is given),
-    the root head, per-tuple freshness windows and the internal signature
-    chain.  Empty chains are always rejected: only the root itself holds the
-    empty attestation, and an honest neighbor appends its own tuple before
-    writing.
+    that the first key is the root's, per-tuple freshness windows and the
+    internal signature chain.  Empty chains are always rejected: only the
+    root itself holds the empty attestation, and an honest neighbor appends
+    its own tuple before writing.
     """
     n = len(att.tuples)
     if expected_length is not None and n != expected_length:
         return False
-    if n == 0:
-        return False
-    if att.head != root_id:
+    if n == 0 or att.tuples[0].p != root_id:
         return False
     if now > deltas.c + att.expiry_base(deltas.step):
         return False

@@ -627,6 +627,12 @@ def oracle_check(instances: int = 500, master_seed: int = 20240601) -> OracleRep
     return report
 
 
+# The three checks below run until their candidates were quiet for
+# ``window`` rounds.  Each run's max_rounds exceeds its window (an oracle
+# overlay has at most 201 nodes), so a run that did not stop early saw some
+# candidate change in its last ``window`` rounds: it did not stabilize.
+
+
 def _check_cheat_run(report: OracleReport, inst: _Instance) -> None:
     viol, tag, rep, diam = report.violations, inst.tag, inst.report, inst.diam
     aug, root, honest = inst.aug, inst.root, inst.honest
@@ -639,7 +645,7 @@ def _check_cheat_run(report: OracleReport, inst: _Instance) -> None:
         inst, ProtocolKind.ATTESTED, AdversaryBehavior.CHEAT_MIN_LEVEL,
         inst.seed("cheat"), max_rounds, window, honest,
     ))
-    if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], honest):
+    if not out.stopped_early:
         viol.append(f"{tag}: cheating-adversary run failed to stabilize")
         return
 
@@ -692,7 +698,7 @@ def _check_disturb_run(report: OracleReport, inst: _Instance) -> None:
         inst, ProtocolKind.ATTESTED, AdversaryBehavior.DISTURB,
         inst.seed("disturb"), max_rounds, window, candidates,
     ))
-    if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], candidates):
+    if not out.stopped_early:
         viol.append(f"{tag}: nodes outside the strict set failed to stabilize")
         return
     disturbances = count_disturbances(out.trace[t0:], rep.strict_set)
@@ -724,7 +730,7 @@ def _check_baseline_runs(report: OracleReport, inst: _Instance) -> None:
         inst, ProtocolKind.BASELINE, AdversaryBehavior.DISTURB,
         inst.seed("base-disturb"), max_rounds, window, candidates,
     ))
-    if not out.stopped_early and not detect_stable(out.trace[-(window + 1):], candidates):
+    if not out.stopped_early:
         viol.append(f"{tag}: baseline nodes outside the formula set failed to stabilize")
         return
     last_round = out.trace[-1].round

@@ -33,30 +33,23 @@ DIGEST_SIZE = 16
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-_LEN_PREFIX = [_U32.pack(k) for k in range(128)]
-_TS_PREFIX = _U32.pack(8)
-_blake2b = hashlib.blake2b
 
 
 def digest(message: bytes) -> bytes:
     """Fixed-width cryptographic digest (BLAKE2b, 16 bytes)."""
-    return _blake2b(message, digest_size=DIGEST_SIZE).digest()
-
-
-def _lp(length: int) -> bytes:
-    return _LEN_PREFIX[length] if length < 128 else _U32.pack(length)
+    return hashlib.blake2b(message, digest_size=DIGEST_SIZE).digest()
 
 
 def level_message(target_id: bytes | None, ts: int) -> bytes:
     """Canonical bytes for a level signature: len(ID)||ID||len(ts)||ts."""
     tid = target_id or b""
-    return _lp(len(tid)) + tid + _TS_PREFIX + _U64.pack(ts)
+    return _U32.pack(len(tid)) + tid + _U32.pack(8) + _U64.pack(ts)
 
 
 def link_message(nid: bytes | None, att_digest: bytes) -> bytes:
     """Canonical bytes for a link signature: len(nID)||nID||len(digest)||digest."""
     n = nid or b""
-    return _lp(len(n)) + n + _lp(len(att_digest)) + att_digest
+    return _U32.pack(len(n)) + n + _U32.pack(len(att_digest)) + att_digest
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +63,12 @@ class KeyPair:
 class Signature:
     """Opaque signature value.
 
-    Model-scheme signatures embed the signer's public key and, canonically, a
-    digest of the signed message; freshly produced ones also keep the raw
+    Model-scheme signatures embed the signer's public key and keep the raw
     message, or the fields it is encoded from (``level`` = (target ID,
     timestamp), ``link`` = (neighbor ID, attestation)), so verification is a
-    plain comparison.  Ed25519 signatures carry the raw 64-byte signature
-    with an empty signer field.  The wire form is len(signer) || signer ||
-    tail.
+    plain comparison; their tail is a digest of the message.  Ed25519
+    signatures carry the raw 64-byte signature as the tail, with an empty
+    signer field.  The canonical bytes are len(signer) || signer || tail.
     """
 
     __slots__ = ("signer", "_msg", "_tail", "level", "link")
@@ -105,12 +97,7 @@ class Signature:
         return self._tail
 
     def to_bytes(self) -> bytes:
-        return _lp(len(self.signer)) + self.signer + self.tail
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Signature":
-        (k,) = _U32.unpack_from(blob, 0)
-        return cls(blob[4 : 4 + k], None, blob[4 + k :])
+        return _U32.pack(len(self.signer)) + self.signer + self.tail
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,12 +171,7 @@ class ModelBackend(_ByteMessages):
         return super().sign_link(secret, nid, att)
 
     def verify(self, public: bytes, message: bytes, sig: Signature) -> bool:
-        if sig.signer != public:
-            return False
-        msg = sig.msg
-        if msg is not None:
-            return msg == message
-        return sig.tail == digest(message)
+        return sig.signer == public and sig.msg == message
 
     def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
                      sig: Signature) -> bool:

@@ -127,7 +127,6 @@ class Graph:
 class LoadResult:
     graph: Graph
     dropped_edges: int
-    total_nodes_seen: int
     kept_largest_component: bool
 
 
@@ -170,15 +169,14 @@ def load_edge_list(stream: IO[str], largest_component: bool = True) -> LoadResul
         pairs.append((index[a], index[b]))
     if not pairs:
         raise GraphFormatError("empty edge list")
-    n = len(index)
-    g = Graph.from_edges(n, pairs)
+    g = Graph.from_edges(len(index), pairs)
     dropped = len(pairs) - g.edge_count
     kept_lcc = False
     if largest_component:
         reduced, kept = extract_largest_component(g)
         kept_lcc = reduced.n != g.n
         g = reduced
-    return LoadResult(g, dropped, n, kept_lcc)
+    return LoadResult(g, dropped, kept_lcc)
 
 
 def extract_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:

@@ -25,7 +25,6 @@ import numpy as np
 from .adversary import (
     AdversaryConfig,
     AdversaryState,
-    CachedOffer,
     adversary_step,
     make_adversary_state,
 )
@@ -160,18 +159,19 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
 
     nl = g.neighbor_lists
     pos_index = [{v: k for k, v in enumerate(nl[u])} for u in range(n)]
-    pos_of = [[pos_index[v][u] for v in nl[u]] for u in range(n)]
 
     offsets = [0] * n
     if cfg.clock_jitter and deltas.c > 0:
         offsets = [rng.randint(0, deltas.c) for _ in range(n)]
 
+    # the adversary's entry is its embedded honest state, if it keeps one
     states: list[NodeState | None] = [None] * n
     adv_state: AdversaryState | None = None
     for u in range(n):
         if u == m:
             assert cfg.adversary is not None
-            adv_state = make_adversary_state(cfg.adversary, u, len(nl[u]), keys[u], rng)
+            adv_state = make_adversary_state(cfg.adversary, len(nl[u]), keys[u], rng)
+            states[u] = adv_state.honest_state
         else:
             states[u] = init_node(
                 keys[u], len(nl[u]), rng, cfg.init_mode,
@@ -187,8 +187,6 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         d1 = bfs_distances(g, [far])
         diam_hint = max(2, int(d1[np.isfinite(d1)].max()))
 
-    secret_by_pub = {kp.public: kp.secret for kp in keys}
-
     def nid_assigned_by(u: int, to: int) -> bytes:
         pos = pos_index[u][to]
         if u == m:
@@ -201,9 +199,8 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         for k, v in enumerate(nl[u]):
             if cfg.init_mode is InitMode.ADVERSARIAL and rng.random() < _PLANTED_SHARE:
                 row.append(_plant_register(
-                    rng, pubs[u], keys, secret_by_pub, pubs[v],
-                    nid_assigned_by(v, u), root_id, diam_hint,
-                    deltas, cfg.protocol, backend,
+                    rng, pubs[u], keys, pubs[v], nid_assigned_by(v, u),
+                    keys[cfg.root], diam_hint, deltas, cfg.protocol, backend,
                 ))
             else:
                 row.append(RegisterContent(id=pubs[u], nid=nid_assigned_by(u, v)))
@@ -218,24 +215,19 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         # will replay at its victims until they stop verifying
         for k, v in enumerate(nl[m]):
             if rng.random() < _PLANTED_SHARE:
-                att, link = _plant_attestation(
-                    rng, keys, secret_by_pub, pubs[v], nid_assigned_by(v, m),
-                    root_id, diam_hint, deltas, backend, bind_probability=0.8,
-                )
-                adv_state.cache[k] = CachedOffer(
-                    att=att, link_sig=link, level=len(att) - 1,
-                    claimed_id=att.tuples[-1].p,
+                adv_state.cache[k] = _plant_attestation(
+                    rng, keys, pubs[v], nid_assigned_by(v, m),
+                    keys[cfg.root], diam_hint, deltas, backend, bind_probability=0.8,
                 )
 
     def light_snapshot(rnd: int) -> Snapshot:
         levels = []
         pids = []
         prnts = []
-        for u in range(n):
-            st = states[u] if u != m else (adv_state.honest_state if adv_state else None)
+        for st, pid in zip(states, pubs):
             if st is None:
                 levels.append(None)
-                pids.append(pubs[u])
+                pids.append(pid)
                 prnts.append(0)
             else:
                 levels.append(st.level)
@@ -244,14 +236,10 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         return Snapshot(rnd, tuple(levels), tuple(pids), tuple(prnts))
 
     def full_config() -> Configuration:
-        node_states = tuple(
-            states[u] if u != m else (adv_state.honest_state if adv_state else None)
-            for u in range(n)
-        )
         return Configuration(
             malicious=malicious,
             keys=pubs,
-            node_states=node_states,
+            node_states=tuple(states),
             registers=tuple(tuple(row) for row in out),
         )
 
@@ -261,7 +249,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
     )
 
     attested = cfg.protocol is ProtocolKind.ATTESTED
-    vp = [list(zip(nl[u], pos_of[u])) for u in range(n)]
+    vp = [[(v, pos_index[v][u]) for v in nl[u]] for u in range(n)]
     stopped_early = False
     last_change = 0
     rnd = 0
@@ -286,6 +274,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
                 cfg.adversary, adv_state, ins_m, now, rnd,
                 cfg.protocol, deltas, root_id, backend,
             )
+            new_states[m] = adv_state.honest_state  # type: ignore[union-attr]
         states = new_states
         out = new_out
         snap = light_snapshot(rnd)
@@ -313,10 +302,9 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
 def _plant_attestation(
     rng: Random,
     keys: list[KeyPair],
-    secret_by_pub: dict[bytes, bytes],
     reader_id: bytes,
     reader_nid: bytes,
-    root_id: bytes,
+    root: KeyPair,
     diam_hint: int,
     deltas: Deltas,
     backend,
@@ -331,34 +319,33 @@ def _plant_attestation(
     """
     n = len(keys)
     length = rng.randint(1, diam_hint)
-    chain = [keys[rng.randrange(n)].public for _ in range(length)]
+    chain = [keys[rng.randrange(n)] for _ in range(length)]
     if rng.random() < 0.5:
-        chain[0] = root_id
+        chain[0] = root
     tuples = []
-    for i, p in enumerate(chain):
+    for i, kp in enumerate(chain):
         ts = rng.randint(0, deltas.c)
         if i + 1 < length:
-            target = chain[i + 1]
+            target = chain[i + 1].public
         else:
             target = reader_id if rng.random() < bind_probability \
                 else keys[rng.randrange(n)].public
         if rng.random() < 0.15:  # some chains are corrupted outright
             target = b"bogus"
-        tuples.append((p, ts, backend.sign_level(secret_by_pub[p], target, ts)))
+        tuples.append((kp.public, ts, backend.sign_level(kp.secret, target, ts)))
     att = LevelAttestation.from_tuples(tuples, backend)
     bound_nid = reader_nid if rng.random() < bind_probability \
         else rng.getrandbits(64).to_bytes(8, "big")
-    return att, backend.sign_link(secret_by_pub[chain[-1]], bound_nid, att)
+    return att, backend.sign_link(chain[-1].secret, bound_nid, att)
 
 
 def _plant_register(
     rng: Random,
     writer_id: bytes,
     keys: list[KeyPair],
-    secret_by_pub: dict[bytes, bytes],
     reader_id: bytes,
     reader_nid: bytes,
-    root_id: bytes,
+    root: KeyPair,
     diam_hint: int,
     deltas: Deltas,
     protocol: ProtocolKind,
@@ -372,8 +359,7 @@ def _plant_register(
         level = None if rng.random() < 0.3 else rng.randint(0, n)
         return RegisterContent(id=claimed, level=level, nid=rand8())
     att, link = _plant_attestation(
-        rng, keys, secret_by_pub, reader_id, reader_nid, root_id,
-        diam_hint, deltas, backend,
+        rng, keys, reader_id, reader_nid, root, diam_hint, deltas, backend,
     )
     level = len(att) - 1 if rng.random() < 0.75 else rng.randint(0, n)
     return RegisterContent(id=claimed, level=level, att=att,

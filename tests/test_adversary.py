@@ -13,6 +13,9 @@ from spantree import (
     WalkStatus,
     attack_victims,
     containment_sets,
+    exact_diameter,
+    extract_largest_component,
+    generate_erdos_renyi,
     ill_directed_set,
     place_attack_edges,
     run,
@@ -44,6 +47,12 @@ class TestPlacement:
         b, _ = place_attack_edges(triangle, 2, seed=5)
         assert a == b
         assert a == triangle.with_added_node(attack_victims(triangle, 2, seed=5))
+
+    def test_isolated_nodes_are_not_eligible(self):
+        # three nodes but only two of non-zero degree
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="not enough connected honest nodes"):
+            attack_victims(g, 3, seed=1)
 
     def test_budget_exceeding_honest_count(self, triangle):
         with pytest.raises(ValueError):
@@ -198,3 +207,28 @@ class TestBaselineAdversary:
         out = run(cfg)
         ill = ill_directed_set(aug, 0, frozenset({4}), out.trace[-1])
         assert rep.baseline_lost <= ill <= rep.baseline_lost | rep.baseline_ties
+
+    def test_honest_adversary_within_nocheat_sets(self):
+        # an adversary that follows the baseline protocol is one more node:
+        # the run settles, it holds its true level, and it misleads at least
+        # the nodes strictly closer to it and at most those no farther
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(20, 60)
+            g, _ = extract_largest_component(generate_erdos_renyi(n, 2 * n, seed))
+            victims = attack_victims(g, rng.randint(1, 5), seed)
+            root = rng.randrange(g.n)
+            rep = containment_sets(g, root, victims)
+            aug, m = g.with_added_node(victims), g.n
+            diam = exact_diameter(aug)
+            window = diam + 6
+            out = run(RunConfig(
+                graph=aug, root=root, protocol=ProtocolKind.BASELINE,
+                adversary=AdversaryConfig(AdversaryBehavior.HONEST_MIN_LEVEL),
+                adversary_node=m, seed=seed,
+                max_rounds=2 * (diam + 2) + window + 10, stability_window=window,
+            ))
+            assert out.stopped_early, seed
+            assert out.final.node_states[m].level == rep.adv_root_distance, seed
+            ill = ill_directed_set(aug, root, frozenset({m}), out.trace[-1])
+            assert rep.nocheat_strict_set <= ill <= rep.nocheat_containment_set, seed

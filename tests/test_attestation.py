@@ -8,7 +8,6 @@ from spantree.attestation import (
     Deltas,
     Extender,
     LevelAttestation,
-    attestation_from_bytes,
     extend,
     is_consistent,
     is_valid_att,
@@ -18,7 +17,6 @@ from spantree.crypto import (
     MODEL,
     Ed25519Backend,
     ModelBackend,
-    Signature,
     digest,
     level_message,
     link_message,
@@ -153,14 +151,6 @@ class TestTruncationResistanceExhaustive:
 
 
 class TestSerialization:
-    def test_roundtrip(self, chain5):
-        _, _, atts, _ = chain5
-        att = atts[4]
-        restored = attestation_from_bytes(att.to_bytes(), MODEL)
-        assert restored == att
-        assert restored.digest == att.digest
-        assert restored.chain_ok
-
     def test_golden_record_layout(self):
         import struct
 
@@ -223,7 +213,7 @@ class TestExtendEach:
                 assert ex.tuples == want[0].tuples
                 assert ex.digest == want[0].digest
                 assert ex.to_bytes() == want[0].to_bytes()
-                assert ex.head == want[0].head == keys[0].public
+                assert ex.tuples[0].p == keys[0].public
                 assert ex.chain_ok is want[0].chain_ok is bound
                 assert (ex._exp_step, ex._exp_val) == (want[0]._exp_step, want[0]._exp_val)
                 assert link.to_bytes() == want[1].to_bytes()
@@ -270,7 +260,8 @@ class TestLazyModelSignatures:
                 for a, b in zip(lazy.tuples, ref.tuples):
                     assert a.sig.to_bytes() == b.sig.to_bytes()
                 assert lazy_link.to_bytes() == ref_link.to_bytes()
-                restored = attestation_from_bytes(lazy.to_bytes(), MODEL)
+                # equal content, distinct object: the link check takes the byte path
+                restored = LevelAttestation.from_tuples(lazy.tuples, MODEL)
                 assert restored.digest == lazy.digest
                 assert is_valid_link(restored, nid, lazy_link, MODEL)
                 assert MODEL.verify_link(lazy.tuples[-1].p, nid, restored, lazy_link)
@@ -300,7 +291,6 @@ class TestLazyModelSignatures:
                 msg = link_message(q_nid, q_att.digest)
                 same = (q_nid or b"") == (nid or b"") and q_att == att
             assert got is (reader == signer.public and same)
-            assert got is MODEL.verify(reader, msg, Signature.from_bytes(sig.to_bytes()))
             assert got is MODEL.verify(reader, msg, sig)
 
     def test_secret_key_check_kept(self):

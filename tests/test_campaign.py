@@ -88,6 +88,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"{key} must list at least one value"):
             CampaignConfig(graph_spec="er(60,130)", **{key: ()})
 
+    def test_bad_fields_rejected(self):
+        with pytest.raises(ValueError, match="attack-edge counts must be positive"):
+            CampaignConfig(graph_spec="er(60,130)", attack_edges=(0,))
+        with pytest.raises(ValueError, match="unknown protocol 'gossip'"):
+            CampaignConfig(graph_spec="er(60,130)", protocols=("attested", "gossip"))
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             parse_campaign_config("graph = er(30,60)\nanalytic_only = perhaps")

@@ -7,7 +7,6 @@ from spantree.crypto import (
     Ed25519Backend,
     KeyPair,
     ModelBackend,
-    Signature,
     digest,
     level_message,
     link_message,
@@ -40,14 +39,6 @@ class TestModelScheme:
         a, b = backend.keygen(1), backend.keygen(2)
         sig = backend.sign(a.secret, b"msg")
         assert not backend.verify(b.public, b"msg", sig)
-
-    def test_serialized_signature_still_verifies(self, backend):
-        kp = backend.keygen(9)
-        sig = backend.sign(kp.secret, b"payload")
-        wire = Signature.from_bytes(sig.to_bytes())
-        assert wire == sig
-        assert backend.verify(kp.public, b"payload", wire)
-        assert not backend.verify(kp.public, b"payloae", wire)
 
     def test_exhaustive_bookkeeping(self):
         # every accepted (key, message, signature) triple is exactly one that

@@ -70,6 +70,10 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError):
             load_edge_list(io.StringIO("# only a comment\n"))
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(GraphFormatError, match="line 2: negative endpoint in '3 -1'"):
+            load_edge_list(io.StringIO("0 1\n3 -1\n"))
+
     def test_largest_component_flag(self):
         text = "0 1\n1 2\n5 6\n"
         kept = load_edge_list(io.StringIO(text))
@@ -93,6 +97,10 @@ class TestErdosRenyi:
     def test_too_many_edges_rejected(self):
         with pytest.raises(ValueError):
             generate_erdos_renyi(4, 7, seed=1)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError, match="need at least one node"):
+            generate_erdos_renyi(0, 0, seed=1)
 
     def test_negative_edge_count_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -1,4 +1,5 @@
 import gc
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from spantree import (
     count_disturbances,
     detect_legitimate,
     detect_stable,
+    exact_diameter,
     extract_largest_component,
     generate_erdos_renyi,
     ill_directed_set,
@@ -85,9 +87,37 @@ class TestScheduler:
                       adversary=AdversaryConfig(AdversaryBehavior.DISTURB),
                       adversary_node=3)
 
+    def test_index_validation(self, triangle):
+        aug = triangle.with_added_node([0])
+        adversary = AdversaryConfig(AdversaryBehavior.DISTURB)
+        with pytest.raises(ValueError, match="root index out of range"):
+            RunConfig(graph=triangle, root=3)
+        with pytest.raises(ValueError, match="adversary index out of range"):
+            RunConfig(graph=aug, root=0, adversary=adversary, adversary_node=4)
+        with pytest.raises(ValueError, match="adversary config and node index go together"):
+            RunConfig(graph=aug, root=0, adversary=adversary)
+
     def test_max_rounds_validation(self, triangle):
         with pytest.raises(ValueError):
             RunConfig(graph=triangle, root=0, max_rounds=0)
+
+    def test_baseline_recovers_from_adversarial_start(self):
+        # planted baseline registers claim arbitrary levels; without an
+        # adversary every node ends legitimate
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(20, 60)
+            g, _ = extract_largest_component(generate_erdos_renyi(n, 2 * n, seed))
+            diam = exact_diameter(g)
+            root = rng.randrange(g.n)
+            out = run(RunConfig(
+                graph=g, root=root, protocol=ProtocolKind.BASELINE,
+                init_mode=InitMode.ADVERSARIAL, seed=seed,
+                max_rounds=2 * g.n + diam + 2, stability_window=diam + 2,
+            ))
+            for u in range(g.n):
+                assert detect_legitimate(g, root, frozenset(), out.final.keys,
+                                         out.trace[-1], u), (seed, u)
 
 
 class TestGcPause:
