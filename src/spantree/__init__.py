@@ -11,29 +11,23 @@ reproducible experiment-campaign layer.
 from .adversary import (
     AdversaryBehavior,
     AdversaryConfig,
-    AdversaryState,
-    adversary_step,
     attack_victims,
     place_attack_edges,
 )
 from .analysis import (
-    ContainmentReport,
     containment_sets,
     mean_ci99,
     simulated_lost_set,
 )
 from .attestation import (
-    AttTuple,
     Deltas,
     LevelAttestation,
     extend,
-    is_consistent,
     is_valid_att,
     is_valid_link,
 )
 from .campaign import (
     CampaignConfig,
-    OracleReport,
     campaign_csv,
     consistency_check,
     derive_seed,
@@ -44,33 +38,17 @@ from .campaign import (
     report_table1,
     run_campaign,
 )
-from .crypto import (
-    Ed25519Backend,
-    KeyPair,
-    MODEL,
-    ModelBackend,
-    Signature,
-    digest,
-    level_message,
-    link_message,
-)
 from .graph import (
     Graph,
-    GraphFormatError,
-    GraphMetrics,
-    LoadResult,
     bfs_distances,
     bfs_distances_avoiding,
     exact_diameter,
     extract_largest_component,
     generate_erdos_renyi,
-    load_edge_list,
     metrics,
-    randomize_preserving_degrees,
 )
 from .protocol import (
     InitMode,
-    NodeState,
     ProtocolKind,
     RegisterContent,
     init_node,
@@ -79,9 +57,7 @@ from .protocol import (
     step_honest_baseline,
 )
 from .simcore import (
-    Configuration,
     RunConfig,
-    RunOutcome,
     Snapshot,
     WalkStatus,
     consistency_round,

@@ -33,16 +33,19 @@ from random import Random
 
 import numpy as np
 
-from .attestation import Deltas, LevelAttestation, is_valid_att, is_valid_chain, is_valid_link
+from .attestation import Deltas, LevelAttestation, is_valid_att, is_valid_chain
 from .crypto import KeyPair, Signature
 from .graph import Graph
 from .protocol import (
-    NID_BYTES,
+    InitMode,
     NodeState,
     ProtocolKind,
     RegisterContent,
+    draw_nids,
+    init_node,
     step_honest_attested,
     step_honest_baseline,
+    valid_offer,
 )
 
 
@@ -110,14 +113,9 @@ def make_adversary_state(
     keys: KeyPair,
     rng: Random,
 ) -> AdversaryState:
-    nids = tuple(
-        rng.getrandbits(8 * NID_BYTES).to_bytes(NID_BYTES, "big")
-        for _ in range(neighbor_count)
-    )
+    nids = draw_nids(rng, neighbor_count)
     honest_state = None
     if cfg.behavior is AdversaryBehavior.HONEST_MIN_LEVEL:
-        from .protocol import InitMode, init_node
-
         honest_state = init_node(keys, neighbor_count, rng, InitMode.CLEAN)
     return AdversaryState(keys=keys, assigned_nids=nids, honest_state=honest_state)
 
@@ -169,15 +167,9 @@ def adversary_step(
     # attested relay: harvest what last round's presentations produced
     for src, victim in state.presented.items():
         reg = inputs[src]
-        if reg.att is None or reg.link_sig is None or reg.level is None:
-            continue
         victim_reg = inputs[victim]
-        if victim_reg.id is None:
-            continue
-        if not is_valid_att(reg.att, victim_reg.id, root_id, now, deltas,
-                            reg.level + 1, backend):
-            continue
-        if not is_valid_link(reg.att, victim_reg.nid, reg.link_sig, backend):
+        if victim_reg.id is None or not valid_offer(
+                reg, victim_reg.id, victim_reg.nid, root_id, now, deltas, backend):
             continue
         held, _ = state.cache.get(victim, (None, None))
         if (

@@ -145,48 +145,42 @@ def parse_key_values(text: str) -> dict[str, str]:
     return raw
 
 
+def _parse_bool(key: str, val: str) -> bool:
+    val = val.lower()
+    if val in ("true", "1", "yes", "on"):
+        return True
+    if val in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"{key}: expected a boolean, got {val!r}")
+
+
 def parse_campaign_config(text: str) -> CampaignConfig:
     """Parse the flat key = value campaign file format.
 
-    List-valued keys (protocols, behaviors, attack_edges) take
-    comma-separated values.
+    The keys are ``CampaignConfig``'s fields, with ``graph`` for
+    ``graph_spec``; a key left out takes the field's default.  List-valued
+    keys (protocols, behaviors, attack_edges) take comma-separated values.
     """
     raw = parse_key_values(text)
-
-    def take_bool(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        val = raw.pop(key).lower()
-        if val in ("true", "1", "yes", "on"):
-            return True
-        if val in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {val!r}")
-
     if "graph" not in raw:
         raise ValueError("missing required key 'graph'")
-    cfg = CampaignConfig(
-        graph_spec=raw.pop("graph"),
-        protocols=tuple(
-            s.strip() for s in raw.pop("protocols", "attested,baseline").split(",")
-        ),
-        behaviors=tuple(s.strip() for s in raw.pop("behaviors", "disturb").split(",")),
-        attack_edges=tuple(
-            int(s) for s in raw.pop("attack_edges", "25").split(",")
-        ),
-        runs=int(raw.pop("runs", "100")),
-        master_seed=int(raw.pop("master_seed", "1")),
-        delta_d=int(raw.pop("delta_d", "1")),
-        delta_e=int(raw.pop("delta_e", "1")),
-        delta_c=int(raw.pop("delta_c")) if "delta_c" in raw else None,
-        analytic_only=take_bool("analytic_only", True),
-        output=raw.pop("output", "") or None,
-        timestamp_header=take_bool("timestamp_header", True),
-        lcc=take_bool("lcc", True),
-    )
+    values = {"graph_spec": raw.pop("graph")}
+    for key in ("protocols", "behaviors"):
+        if key in raw:
+            values[key] = tuple(s.strip() for s in raw.pop(key).split(","))
+    if "attack_edges" in raw:
+        values["attack_edges"] = tuple(int(s) for s in raw.pop("attack_edges").split(","))
+    for key in ("runs", "master_seed", "delta_d", "delta_e", "delta_c"):
+        if key in raw:
+            values[key] = int(raw.pop(key))
+    for key in ("analytic_only", "timestamp_header", "lcc"):
+        if key in raw:
+            values[key] = _parse_bool(key, raw.pop(key))
+    if "output" in raw:
+        values["output"] = raw.pop("output") or None
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
-    return cfg
+    return CampaignConfig(**values)
 
 
 def graph_from_spec(spec: str, master_seed: int = 1, lcc: bool = True) -> Graph:
@@ -209,12 +203,10 @@ def graph_from_spec(spec: str, master_seed: int = 1, lcc: bool = True) -> Graph:
         path = spec[len("randomized(") : -1]
         with open(path, "r", encoding="utf-8") as fp:
             loaded = load_edge_list(fp, largest_component=lcc)
-        return randomize_preserving_degrees(
-            loaded.graph, derive_seed(master_seed, "randomize")
-        )
+        return randomize_preserving_degrees(loaded, derive_seed(master_seed, "randomize"))
     path = spec[len("file:") :] if spec.startswith("file:") else spec
     with open(path, "r", encoding="utf-8") as fp:
-        return load_edge_list(fp, largest_component=lcc).graph
+        return load_edge_list(fp, largest_component=lcc)
 
 
 def analytic_lost_set(report: ContainmentReport, protocol: str,
@@ -522,10 +514,22 @@ class OracleReport:
     elapsed_seconds: float = 0.0
 
 
-def _require_instances(instances: int) -> None:
+def _run_suite(instances: int, check) -> OracleReport:
+    """Check instances 0, 1, ... with ``check(report, idx)``, which records
+    into ``report`` and returns False for a skipped instance, until
+    ``instances`` were checked; the report carries the suite's wall time."""
     # a suite that checks nothing must not report that everything matched
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    t_begin = time.perf_counter()
+    report = OracleReport()
+    idx = 0
+    while report.instances < instances:
+        if check(report, idx):
+            report.instances += 1
+        idx += 1
+    report.elapsed_seconds = time.perf_counter() - t_begin
+    return report
 
 
 def _attacked_instance(
@@ -584,47 +588,45 @@ def oracle_check(instances: int = 500, master_seed: int = 20240601) -> OracleRep
     non-cheating run, and a disturbance run, plus baseline runs, and records
     a violation string for every analytic prediction the simulation misses.
     """
-    _require_instances(instances)
-    t_begin = time.perf_counter()
-    report = OracleReport()
-    idx = -1
-    while report.instances < instances:
-        idx += 1
-        rng = Random(derive_seed(master_seed, "oracle", idx))
-        inst = _attacked_instance(rng, _oracle_graph(rng), 10, "inst", master_seed, idx)
-        if inst is None:
-            continue
-        report.instances += 1
-        viol, tag, rep, g = report.violations, inst.tag, inst.report, inst.g
+    return _run_suite(instances, lambda report, idx: _oracle_instance(report, master_seed, idx))
 
-        # analytic set relations
-        if not rep.strict_set <= rep.containment_set:
-            viol.append(f"{tag}: strict lost set escapes the containment set")
-        if not rep.nocheat_containment_set <= rep.containment_set:
-            viol.append(f"{tag}: removing the cheat enlarged the containment set")
-        if not rep.nocheat_strict_set <= rep.strict_set:
-            viol.append(f"{tag}: removing the cheat enlarged the strict set")
 
-        # adversary-free convergence: every node legitimate within diam+1
-        diam_h = exact_diameter(g)
-        free_out = run(RunConfig(
-            graph=g, root=inst.root, protocol=ProtocolKind.ATTESTED,
-            deltas=inst.deltas, seed=inst.seed("free"), max_rounds=diam_h + 3,
-        ))
-        snap = free_out.trace[min(diam_h + 1, len(free_out.trace) - 1)]
-        for u in range(g.n):
-            if not detect_legitimate(g, inst.root, frozenset(), free_out.final.keys, snap, u):
-                viol.append(f"{tag}: adversary-free node {u} not legitimate at the bound")
-                break
+def _oracle_instance(report: OracleReport, master_seed: int, idx: int) -> bool:
+    """Check instance ``idx`` of ``oracle_check`` into ``report``; False when
+    the drawn instance is skipped."""
+    rng = Random(derive_seed(master_seed, "oracle", idx))
+    inst = _attacked_instance(rng, _oracle_graph(rng), 10, "inst", master_seed, idx)
+    if inst is None:
+        return False
+    viol, tag, rep, g = report.violations, inst.tag, inst.report, inst.g
 
-        report.cheat_runs += 1
-        _check_cheat_run(report, inst)
-        report.disturb_runs += 1
-        _check_disturb_run(report, inst)
-        report.baseline_runs += 1
-        _check_baseline_runs(report, inst)
-    report.elapsed_seconds = time.perf_counter() - t_begin
-    return report
+    # analytic set relations
+    if not rep.strict_set <= rep.containment_set:
+        viol.append(f"{tag}: strict lost set escapes the containment set")
+    if not rep.nocheat_containment_set <= rep.containment_set:
+        viol.append(f"{tag}: removing the cheat enlarged the containment set")
+    if not rep.nocheat_strict_set <= rep.strict_set:
+        viol.append(f"{tag}: removing the cheat enlarged the strict set")
+
+    # adversary-free convergence: every node legitimate within diam+1
+    diam_h = exact_diameter(g)
+    free_out = run(RunConfig(
+        graph=g, root=inst.root, protocol=ProtocolKind.ATTESTED,
+        deltas=inst.deltas, seed=inst.seed("free"), max_rounds=diam_h + 3,
+    ))
+    snap = free_out.trace[min(diam_h + 1, len(free_out.trace) - 1)]
+    for u in range(g.n):
+        if not detect_legitimate(g, inst.root, frozenset(), free_out.final.keys, snap, u):
+            viol.append(f"{tag}: adversary-free node {u} not legitimate at the bound")
+            break
+
+    report.cheat_runs += 1
+    _check_cheat_run(report, inst)
+    report.disturb_runs += 1
+    _check_disturb_run(report, inst)
+    report.baseline_runs += 1
+    _check_baseline_runs(report, inst)
+    return True
 
 
 # The three checks below run until their candidates were quiet for
@@ -772,20 +774,17 @@ def consistency_check(
     longer budgets), which is why the guarantee is stated over the stale
     values themselves.
     """
-    _require_instances(instances)
     if deltas.step < 1:
         raise ValueError(f"deltas.step (d + e) must be positive, got {deltas.step}")
-    t_begin = time.perf_counter()
-    report = OracleReport()
-    idx = -1
-    while report.instances < instances:
-        idx += 1
+
+    def check(report: OracleReport, idx: int) -> bool:
         violations = _consistency_instance(idx, master_seed, max_n, deltas)
-        if violations is not None:
-            report.instances += 1
-            report.violations.extend(violations)
-    report.elapsed_seconds = time.perf_counter() - t_begin
-    return report
+        if violations is None:
+            return False
+        report.violations.extend(violations)
+        return True
+
+    return _run_suite(instances, check)
 
 
 def _consistency_instance(
@@ -815,8 +814,9 @@ def _consistency_instance(
     )
 
     violations: list[str] = []
+    directory: dict[bytes, int] = {}  # key -> node; the keys are fixed for the run
 
-    def check_att(att, reader, reader_id, where, rnd, now, directory, config):
+    def check_att(att, reader, reader_id, where, rnd, now, config):
         # a fresh chain usually ends in a fresh tuple: look from the end
         if not att.tuples or any(t.t > deltas.c for t in reversed(att.tuples)):
             return  # carries fresh signatures; not the stale material
@@ -840,17 +840,18 @@ def _consistency_instance(
         if violations:
             return
         now = rnd * deltas.step
-        directory = {config.keys[u]: u for u in range(aug.n)}
+        if not directory:
+            directory.update((key, u) for u, key in enumerate(config.keys))
         for u in range(aug.n):
             for k, v in enumerate(aug.neighbor_lists[u]):
                 reg = config.registers[u][k]
                 if reg.att is not None:
                     check_att(reg.att, v, config.keys[v], f"register {u}->{v}",
-                              rnd, now, directory, config)
+                              rnd, now, config)
             st = config.node_states[u]
             if st is not None and len(st.level_att) > 0:
                 check_att(st.level_att, u, config.keys[u], f"node {u}",
-                          rnd, now, directory, config)
+                          rnd, now, config)
 
     run(cfg, per_round_hook=check_round)
     return violations

@@ -3,19 +3,20 @@
 Two interchangeable signature backends are provided:
 
 * ``ModelBackend`` -- a structural scheme whose signatures record the signer's
-  public key and a digest of the signed message.  Verification recomputes the
-  digest, so a signature can only be produced by calling ``sign`` with the
-  matching secret.  This is the default for simulation campaigns: it is fast
-  and makes "the attacker cannot forge" true by construction.
+  public key and the signed message.  Verification compares them, so a
+  signature can only be produced by signing with the matching secret.  This
+  is the default for simulation campaigns: it is fast, and the test suite
+  checks that simulated runs decide exactly as they do under Ed25519.
 * ``Ed25519Backend`` -- real Ed25519 via the ``cryptography`` package, for
   end-to-end realism.  Optional; only needed when explicitly requested.
 
-Every backend also signs and verifies the protocol's two messages from their
-fields (``sign_level``/``verify_level``, ``sign_link``/``verify_link``).
-``ModelBackend`` signatures made so are lazy: they keep the fields, build the
-message bytes, tail and attestation digest only when read, and verify by
-comparing fields where they can, with the answer the bytes would give.
-``Ed25519Backend`` and ``ModelBackend(track_issued=True)`` stay eager.
+Every backend signs and verifies raw messages (``sign``/``verify``) and the
+protocol's two messages from their fields (``sign_level``/``verify_level``,
+``sign_link``/``verify_link``).  ``ModelBackend`` field signatures are lazy:
+they keep the fields, build the message bytes, tail and attestation digest
+only when read, and verify by comparing fields where they can, with the
+answer the bytes would give.  ``Ed25519Backend`` encodes the message and
+signs its bytes.
 
 All multi-field messages use length-prefixed encodings (4-byte big-endian
 length prefixes, 8-byte big-endian timestamps) so that no two distinct field
@@ -113,62 +114,37 @@ class Signature:
         return f"Signature(signer={self.signer!r})"
 
 
-class _ByteMessages:
-    """The field-level signing API of an eager backend: encode the message,
-    then ``sign`` or ``verify`` its bytes."""
-
-    def sign_level(self, secret: bytes, target_id: bytes | None, ts: int) -> Signature:
-        return self.sign(secret, level_message(target_id, ts))
-
-    def sign_link(self, secret: bytes, nid: bytes | None, att) -> Signature:
-        return self.sign(secret, link_message(nid, att.digest))
-
-    def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
-                     sig: Signature) -> bool:
-        return self.verify(public, level_message(target_id, ts), sig)
-
-    def verify_link(self, public: bytes, nid: bytes | None, att, sig: Signature) -> bool:
-        return self.verify(public, link_message(nid, att.digest), sig)
+def _model_signer(secret: bytes) -> bytes:
+    """The public key a model-scheme secret key signs as."""
+    if not secret.startswith(b"SK"):
+        raise ValueError("not a model-scheme secret key")
+    return b"PK" + secret[2:]
 
 
-class ModelBackend(_ByteMessages):
+class ModelBackend:
     """Structural signature scheme verified by recomputation.
 
     Key pairs are derived deterministically from an integer seed and public
-    keys are guaranteed distinct for distinct seeds (mod 2**64).  When
-    ``track_issued`` is set, every signature produced is recorded in
-    ``issued`` so tests can assert that accepted signatures were actually
-    issued rather than fabricated; such a backend signs eagerly.
+    keys are guaranteed distinct for distinct seeds (mod 2**64).  ``sign``
+    keeps the message bytes; ``sign_level`` and ``sign_link`` keep the
+    message fields and build the bytes only when read.  A signature that does
+    not carry the fields asked about is verified over the encoded message.
     """
 
     name = "model"
-
-    def __init__(self, track_issued: bool = False):
-        self.issued: set[bytes] | None = set() if track_issued else None
 
     def keygen(self, seed: int) -> KeyPair:
         raw = (seed % 2**64).to_bytes(8, "big")
         return KeyPair(public=b"PK" + raw, secret=b"SK" + raw)
 
     def sign(self, secret: bytes, message: bytes) -> Signature:
-        if not secret.startswith(b"SK"):
-            raise ValueError("not a model-scheme secret key")
-        sig = Signature(b"PK" + secret[2:], message)
-        if self.issued is not None:
-            self.issued.add(sig.to_bytes())
-        return sig
-
-    # lazy unless tracking; the eager fallback's ``sign`` rejects a non-model key
+        return Signature(_model_signer(secret), message)
 
     def sign_level(self, secret: bytes, target_id: bytes | None, ts: int) -> Signature:
-        if self.issued is None and secret.startswith(b"SK"):
-            return Signature(b"PK" + secret[2:], None, None, (target_id or b"", ts))
-        return super().sign_level(secret, target_id, ts)
+        return Signature(_model_signer(secret), None, None, (target_id or b"", ts))
 
     def sign_link(self, secret: bytes, nid: bytes | None, att) -> Signature:
-        if self.issued is None and secret.startswith(b"SK"):
-            return Signature(b"PK" + secret[2:], None, None, None, (nid or b"", att))
-        return super().sign_link(secret, nid, att)
+        return Signature(_model_signer(secret), None, None, None, (nid or b"", att))
 
     def verify(self, public: bytes, message: bytes, sig: Signature) -> bool:
         return sig.signer == public and sig.msg == message
@@ -176,18 +152,19 @@ class ModelBackend(_ByteMessages):
     def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
                      sig: Signature) -> bool:
         if sig.level is None:
-            return super().verify_level(public, target_id, ts, sig)
+            return self.verify(public, level_message(target_id, ts), sig)
         return sig.signer == public and sig.level == (target_id or b"", ts)
 
     def verify_link(self, public: bytes, nid: bytes | None, att, sig: Signature) -> bool:
         link = sig.link
         if link is None or link[1] is not att:
-            return super().verify_link(public, nid, att, sig)
+            return self.verify(public, link_message(nid, att.digest), sig)
         return sig.signer == public and link[0] == (nid or b"")
 
 
-class Ed25519Backend(_ByteMessages):
-    """Ed25519 signatures via the ``cryptography`` package."""
+class Ed25519Backend:
+    """Ed25519 signatures via the ``cryptography`` package.  The protocol's
+    two messages are encoded, then signed or verified as bytes."""
 
     name = "ed25519"
 
@@ -219,6 +196,19 @@ class Ed25519Backend(_ByteMessages):
             return True
         except Exception:
             return False
+
+    def sign_level(self, secret: bytes, target_id: bytes | None, ts: int) -> Signature:
+        return self.sign(secret, level_message(target_id, ts))
+
+    def sign_link(self, secret: bytes, nid: bytes | None, att) -> Signature:
+        return self.sign(secret, link_message(nid, att.digest))
+
+    def verify_level(self, public: bytes, target_id: bytes | None, ts: int,
+                     sig: Signature) -> bool:
+        return self.verify(public, level_message(target_id, ts), sig)
+
+    def verify_link(self, public: bytes, nid: bytes | None, att, sig: Signature) -> bool:
+        return self.verify(public, link_message(nid, att.digest), sig)
 
 
 MODEL = ModelBackend()

@@ -124,13 +124,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class LoadResult:
-    graph: Graph
-    dropped_edges: int
-    kept_largest_component: bool
-
-
-@dataclass(frozen=True)
 class GraphMetrics:
     node_count: int
     edge_count: int
@@ -140,12 +133,11 @@ class GraphMetrics:
     diameter_is_exact: bool
 
 
-def load_edge_list(stream: IO[str], largest_component: bool = True) -> LoadResult:
+def load_edge_list(stream: IO[str], largest_component: bool = True) -> Graph:
     """Parse a whitespace-separated "u v" edge list.
 
     Lines starting with '#' are ignored.  Nodes are re-indexed densely in
-    first-appearance order; duplicate edges and self-loops are dropped and
-    counted.  With ``largest_component`` (the default) the graph is reduced
+    first-appearance order; duplicate edges and self-loops are dropped.  With ``largest_component`` (the default) the graph is reduced
     to its largest connected component, re-indexed stably.
     """
     index: dict[int, int] = {}
@@ -170,13 +162,9 @@ def load_edge_list(stream: IO[str], largest_component: bool = True) -> LoadResul
     if not pairs:
         raise GraphFormatError("empty edge list")
     g = Graph.from_edges(len(index), pairs)
-    dropped = len(pairs) - g.edge_count
-    kept_lcc = False
     if largest_component:
-        reduced, kept = extract_largest_component(g)
-        kept_lcc = reduced.n != g.n
-        g = reduced
-    return LoadResult(g, dropped, kept_lcc)
+        g, _ = extract_largest_component(g)
+    return g
 
 
 def extract_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
@@ -252,15 +240,13 @@ def generate_erdos_renyi(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, np.column_stack([i, j]))
 
 
-def randomize_preserving_degrees(g: Graph, seed: int, swap_factor: float = 10.0) -> Graph:
+def randomize_preserving_degrees(g: Graph, seed: int) -> Graph:
     """Degree-preserving randomization via double-edge swaps.
 
-    Attempts ``swap_factor * edge_count`` swaps; attempts that would create a
+    Attempts ``10 * edge_count`` swaps; attempts that would create a
     self-loop or a duplicate edge are skipped, so the result is always a
     simple graph with exactly the input degree sequence.
     """
-    if swap_factor <= 0:
-        raise ValueError("swap_factor must be positive")
     u_arr, v_arr = g.edge_arrays()
     us = u_arr.tolist()
     vs = v_arr.tolist()
@@ -276,7 +262,7 @@ def randomize_preserving_degrees(g: Graph, seed: int, swap_factor: float = 10.0)
         return a * n + b in present
 
     rng = random.Random(seed)
-    for _ in range(int(round(swap_factor * m))):
+    for _ in range(10 * m):
         e1 = rng.randrange(m)
         e2 = rng.randrange(m)
         if e1 == e2:

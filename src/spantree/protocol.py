@@ -161,6 +161,18 @@ def _prec_raw(a: int, b: int, i_start: int) -> bool:
     return (i_start <= a < b) or (b < i_start <= a) or (a < b < i_start)
 
 
+def draw_nids(rng: Random, count: int) -> tuple[bytes, ...]:
+    """``count`` random neighbor IDs, distinct per neighbor."""
+    nids: list[bytes] = []
+    seen = set()
+    while len(nids) < count:
+        cand = rng.getrandbits(8 * NID_BYTES).to_bytes(NID_BYTES, "big")
+        if cand not in seen:
+            seen.add(cand)
+            nids.append(cand)
+    return tuple(nids)
+
+
 def init_node(
     keys: KeyPair,
     neighbor_count: int,
@@ -174,16 +186,10 @@ def init_node(
     CLEAN gives the orphan state (no distance, no attestation).  ADVERSARIAL
     draws arbitrary but type-valid values, including parent pointers that may
     be out of range (a node whose numbered neighbor left the overlay); the
-    first step normalizes them.  Neighbor IDs are sampled fresh either way,
-    distinct per neighbor.
+    first step normalizes them.  Neighbor IDs are sampled fresh either way
+    (``draw_nids``).
     """
-    nids: list[bytes] = []
-    seen = set()
-    while len(nids) < neighbor_count:
-        cand = rng.getrandbits(8 * NID_BYTES).to_bytes(NID_BYTES, "big")
-        if cand not in seen:
-            seen.add(cand)
-            nids.append(cand)
+    nids = draw_nids(rng, neighbor_count)
     if mode is InitMode.CLEAN:
         level: int | None = None
         prnt = 0
@@ -200,9 +206,28 @@ def init_node(
         prnt=prnt,
         i_start=i_start,
         level_att=LevelAttestation.empty(),
-        assigned_nids=tuple(nids),
+        assigned_nids=nids,
         is_root=is_root,
     )
+
+
+def valid_offer(
+    reg: RegisterContent,
+    reader_id: bytes,
+    reader_nid: bytes | None,
+    root_id: bytes,
+    now: int,
+    deltas: Deltas,
+    backend,
+) -> bool:
+    """Whether ``reg`` is a valid offer for the reader ``reader_id``, which
+    assigned the writer the neighbor ID ``reader_nid``: its chain is valid
+    for the reader at ``now`` with length claimed level + 1, and its link
+    signature binds the chain to that neighbor ID."""
+    att = reg.att
+    return att is not None and reg.level is not None and \
+        is_valid_att(att, reader_id, root_id, now, deltas, reg.level + 1, backend) and \
+        is_valid_link(att, reader_nid, reg.link_sig, backend)
 
 
 def _next_state(
@@ -268,19 +293,14 @@ def step_honest_attested(
     ``inputs`` is the node's view of each neighbor's register, indexed by the
     node's neighbor numbering; ``now`` is this node's current clock reading,
     also used as the timestamp of every tuple it signs this round.  An offer
-    is valid when its chain is valid for this reader at ``now`` with length
-    claimed level + 1 and its link signature binds it to this edge.  The
-    registers returned sign their chains when first read.
+    is accepted when it is a ``valid_offer`` for this node.  The registers
+    returned sign their chains when first read.
     """
     my_id = state.keys.public
     my_nids = state.assigned_nids
 
     def accepts(j: int) -> bool:
-        reg = inputs[j]
-        att = reg.att
-        return att is not None and \
-            is_valid_att(att, my_id, root_id, now, deltas, reg.level + 1, backend) and \
-            is_valid_link(att, my_nids[j], reg.link_sig, backend)
+        return valid_offer(inputs[j], my_id, my_nids[j], root_id, now, deltas, backend)
 
     new = _next_state(state, inputs, accepts)
 

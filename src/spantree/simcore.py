@@ -81,7 +81,6 @@ class RunConfig:
     max_rounds: int = 64
     stability_window: int = 0
     stability_candidates: frozenset[int] | None = None
-    clock_jitter: bool = False
 
     def __post_init__(self):
         if not (0 <= self.root < self.graph.n):
@@ -159,10 +158,6 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
 
     nl = g.neighbor_lists
     pos_index = [{v: k for k, v in enumerate(nl[u])} for u in range(n)]
-
-    offsets = [0] * n
-    if cfg.clock_jitter and deltas.c > 0:
-        offsets = [rng.randint(0, deltas.c) for _ in range(n)]
 
     # the adversary's entry is its embedded honest state, if it keeps one
     states: list[NodeState | None] = [None] * n
@@ -260,9 +255,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
         for u in honest:
             ins = [out[v][p] for v, p in vp[u]]
             if attested:
-                st, outs = step_honest_attested(
-                    states[u], ins, now + offsets[u], deltas, root_id, backend
-                )
+                st, outs = step_honest_attested(states[u], ins, now, deltas, root_id, backend)
             else:
                 st, outs = step_honest_baseline(states[u], ins)
             new_states[u] = st

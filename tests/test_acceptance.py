@@ -25,7 +25,7 @@ from spantree import (
     run_campaign,
 )
 from spantree.attestation import extend
-from spantree.crypto import ModelBackend
+from spantree.crypto import MODEL, Ed25519Backend
 
 ORACLE_INSTANCES = 500
 ORACLE_SEED = 20240601
@@ -112,10 +112,10 @@ def test_criterion_4_disturbance_budget(oracle_report):
     print("\nACCEPTANCE 4 (disturbance budget): PASS")
 
 
-def test_criterion_5_attestation_security():
-    """Truncation resistance for every chain length up to 6, and forgery
-    exclusion under >= 10,000 fuzzed adversary action sequences."""
-    backend = ModelBackend(track_issued=True)
+def _forgery_fuzz(backend, sequences):
+    """Criterion 5 on one backend: truncation resistance for every chain
+    length up to 6, then ``sequences`` fuzzed adversary action sequences.
+    Returns whether each sequence's candidate was accepted."""
     deltas = Deltas(1, 1, 1)
     step = deltas.step
 
@@ -143,8 +143,7 @@ def test_criterion_5_attestation_security():
     # re-target harvested material, but never sign with honest secrets
     harvested = [(atts[j], links[j], j) for j in range(1, 7)]
     rng = random.Random(424242)
-    sequences = 10_000
-    accepted_replays = 0
+    accepted = []
     for _ in range(sequences):
         att, link, origin = harvested[rng.randrange(len(harvested))]
         tuples = list(att.tuples)
@@ -167,16 +166,29 @@ def test_criterion_5_attestation_security():
         candidate = LevelAttestation.from_tuples(tuples, backend)
         link_choice = harvested[rng.randrange(len(harvested))][1]
         now = (len(candidate) + 1) * step
-        if is_valid_att(candidate, keys[victim].public, keys[0].public, now,
-                        deltas, len(candidate), backend) and \
-                is_valid_link(candidate, nids[victim], link_choice, backend):
+        ok = is_valid_att(candidate, keys[victim].public, keys[0].public, now,
+                          deltas, len(candidate), backend) and \
+            is_valid_link(candidate, nids[victim], link_choice, backend)
+        if ok:
             # only a verbatim replay of the victim's own delivery may pass
             assert candidate == atts[victim]
             assert link_choice == links[victim]
-            accepted_replays += 1
-    assert accepted_replays > 0
+        accepted.append(ok)
+    return accepted
+
+
+def test_criterion_5_attestation_security():
+    """Truncation resistance for every chain length up to 6, and forgery
+    exclusion under >= 10,000 fuzzed adversary action sequences, on the
+    model backend the campaigns use.  The first 2000 sequences are replayed
+    on Ed25519, which must accept exactly the same ones."""
+    sequences = 10_000
+    accepted = _forgery_fuzz(MODEL, sequences)
+    assert any(accepted)
+    sample = 2000
+    assert _forgery_fuzz(Ed25519Backend(), sample) == accepted[:sample]
     print(f"\nACCEPTANCE 5 (attestation security, {sequences} sequences, "
-          f"{accepted_replays} verbatim replays accepted): PASS")
+          f"{sum(accepted)} verbatim replays accepted; {sample} alike on Ed25519): PASS")
 
 
 def test_criterion_6_er_reproduction(er_campaign_rows):

@@ -40,10 +40,9 @@ class TestModelScheme:
         sig = backend.sign(a.secret, b"msg")
         assert not backend.verify(b.public, b"msg", sig)
 
-    def test_exhaustive_bookkeeping(self):
-        # every accepted (key, message, signature) triple is exactly one that
-        # sign() produced; no cross-pair verifies
-        backend = ModelBackend(track_issued=True)
+    def test_exhaustive_bookkeeping(self, backend):
+        # a signature verifies for exactly the (key, message) pair it was
+        # made for; no cross-pair verifies
         keys = [backend.keygen(i) for i in range(8)]
         msgs = [f"m{j}".encode() for j in range(12)]
         sigs = {}
@@ -55,7 +54,6 @@ class TestModelScheme:
                 for (si, sj), sig in sigs.items():
                     expected = si == i and sj == j
                     assert backend.verify(kp.public, msg, sig) is expected
-                    assert sig.to_bytes() in backend.issued
 
 
 class TestDigest:
