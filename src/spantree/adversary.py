@@ -41,6 +41,7 @@ from .protocol import (
     NodeState,
     ProtocolKind,
     RegisterContent,
+    WriteRecord,
     draw_nids,
     init_node,
     step_honest_attested,
@@ -134,8 +135,10 @@ def adversary_step(
     deltas: Deltas,
     root_id: bytes,
     backend,
-) -> list[RegisterContent]:
-    """Compute the adversary's register writes for this round.
+) -> list[RegisterContent] | WriteRecord:
+    """Compute the adversary's register writes for this round, one per
+    neighbor; the honest behaviour returns its embedded honest node's write
+    record instead.
 
     ``inputs`` are the registers the honest neighbors wrote toward the
     adversary this very round: a byzantine node's read-process-write cycle is
@@ -149,12 +152,12 @@ def adversary_step(
     if cfg.behavior is AdversaryBehavior.HONEST_MIN_LEVEL:
         assert state.honest_state is not None
         if protocol_kind is ProtocolKind.ATTESTED:
-            state.honest_state, outs = step_honest_attested(
+            state.honest_state, write = step_honest_attested(
                 state.honest_state, inputs, now, deltas, root_id, backend
             )
         else:
-            state.honest_state, outs = step_honest_baseline(state.honest_state, inputs)
-        return outs
+            state.honest_state, write = step_honest_baseline(state.honest_state, inputs)
+        return write
 
     if protocol_kind is ProtocolKind.BASELINE:
         if cheat_phase:

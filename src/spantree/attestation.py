@@ -130,6 +130,11 @@ class LevelAttestation:
             self._c4_reader = reader_id
         return self._c4_ok
 
+    def stamped_after(self, t: int) -> bool:
+        """Whether some tuple is stamped later than ``t``."""
+        # a fresh chain usually ends in a fresh tuple: look from the end
+        return any(tup.t > t for tup in reversed(self.tuples))
+
     def to_bytes(self) -> bytes:
         return b"".join(_record(t) for t in self.tuples)
 
@@ -214,6 +219,11 @@ class Extender:
         if step is not None and level_att._exp_step == step:
             self.exp_step = step
             self.exp_val = min(level_att._exp_val + step, ts + step)  # type: ignore[operator]
+
+    def stamped_after(self, t: int) -> bool:
+        """Whether the extensions hold a tuple stamped later than ``t``,
+        known before any is signed."""
+        return self.ts > t or any(tup.t > t for tup in self.tuples)
 
     def toward(self, target_id: bytes | None,
                nid: bytes | None) -> tuple[LevelAttestation, Signature]:

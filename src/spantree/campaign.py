@@ -817,9 +817,7 @@ def _consistency_instance(
     directory: dict[bytes, int] = {}  # key -> node; the keys are fixed for the run
 
     def check_att(att, reader, reader_id, where, rnd, now, config):
-        # a fresh chain usually ends in a fresh tuple: look from the end
-        if not att.tuples or any(t.t > deltas.c for t in reversed(att.tuples)):
-            return  # carries fresh signatures; not the stale material
+        # a stale chain: every tuple stamped no later than c
         if now > stale_expiry and is_valid_att(
             att, reader_id, config.keys[root], now, deltas, None, MODEL
         ):
@@ -840,16 +838,20 @@ def _consistency_instance(
         if violations:
             return
         now = rnd * deltas.step
+        c = deltas.c
         if not directory:
             directory.update((key, u) for u, key in enumerate(config.keys))
+        registers = config.registers
         for u in range(aug.n):
-            for k, v in enumerate(aug.neighbor_lists[u]):
-                reg = config.registers[u][k]
-                if reg.att is not None:
-                    check_att(reg.att, v, config.keys[v], f"register {u}->{v}",
-                              rnd, now, config)
+            # a fresh row is skipped without signing its registers
+            if not registers.all_stamped_after(u, c):
+                for v, reg in zip(aug.neighbor_lists[u], registers[u]):
+                    if not reg.stamped_after(c) and reg.att is not None:
+                        check_att(reg.att, v, config.keys[v], f"register {u}->{v}",
+                                  rnd, now, config)
             st = config.node_states[u]
-            if st is not None and len(st.level_att) > 0:
+            if st is not None and len(st.level_att) > 0 \
+                    and not st.level_att.stamped_after(c):
                 check_att(st.level_att, u, config.keys[u], f"node {u}",
                           rnd, now, config)
 

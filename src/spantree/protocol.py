@@ -17,16 +17,17 @@ offers from the lowest claimed level up and stops at the first valid one,
 so offers above the adopted level are never verified.  A writer computes
 the shared part of its extensions once (an ``Extender``, whose check of the
 previous hop is the reader binding the node verified, and memoized, when it
-adopted the chain) and publishes one register per neighbor whose
-attestation and link signature are signed when first read; most are never
-read.
+adopted the chain) and writes one ``WriteRecord`` per round: its ID, level,
+``Extender`` and assigned neighbor IDs.  A reader resolves its neighbor's
+register from (record, arc position); the register's attestation and link
+signature are signed when first read, and most are never read.
 """
 
 from __future__ import annotations
 
 import enum
 from random import Random
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .attestation import Deltas, Extender, LevelAttestation, is_valid_att, is_valid_link
 from .crypto import KeyPair, Signature
@@ -45,20 +46,21 @@ class InitMode(enum.Enum):
 
 
 class RegisterContent:
-    """One shared register: what a writer last published toward one neighbor.
+    """One shared register: what a writer shows one neighbor in one round.
 
     ``nid`` is the neighbor ID the writer assigned to the reader.  The
     attestation carried here is the writer's extended chain (one tuple longer
     than the writer's own level); readers enforce length = claimed level + 1.
 
-    A register made by ``_pending_register`` holds an ``Extender`` and the
-    target's ID and assigned neighbor ID in place of ``att`` and
-    ``link_sig``, and signs both on the first read of either.  It keeps
-    copies of the target's IDs, never the target's register, so no register
-    refers to an older round's.  Equality and hashing read all five fields.
+    A register materialised by ``WriteRecord.register`` from a record with
+    an ``Extender`` holds the record and the (ID, neighbor ID) pair its
+    extension is signed for in place of ``att`` and ``link_sig``, and signs
+    both on the first read of either.  The record is of the register's own
+    round, so no register refers to an older round's.  Equality and hashing
+    read all five fields.
     """
 
-    __slots__ = ("id", "level", "nid", "_att", "_link_sig", "_ext", "_to", "_to_nid")
+    __slots__ = ("id", "level", "nid", "_att", "_link_sig", "_rec", "_to", "_to_nid")
 
     def __init__(
         self,
@@ -73,24 +75,33 @@ class RegisterContent:
         self.nid = nid
         self._att = att
         self._link_sig = link_sig
-        self._ext = None
+        self._rec = None
 
     def _build(self) -> None:
-        ext: Extender = self._ext  # type: ignore[assignment]
-        self._att, self._link_sig = ext.toward(self._to, self._to_nid)
-        self._ext = None
+        rec: WriteRecord = self._rec  # type: ignore[assignment]
+        self._att, self._link_sig = rec.ext.toward(self._to, self._to_nid)  # type: ignore[union-attr]
+        rec.built += 1
+        self._rec = None
 
     @property
     def att(self) -> LevelAttestation | None:
-        if self._ext is not None:
+        if self._rec is not None:
             self._build()
         return self._att
 
     @property
     def link_sig(self) -> Signature | None:
-        if self._ext is not None:
+        if self._rec is not None:
             self._build()
         return self._link_sig
+
+    def stamped_after(self, t: int) -> bool:
+        """Whether the register carries a chain holding a tuple stamped later
+        than ``t``; a register not yet signed answers without signing."""
+        rec = self._rec
+        if rec is not None:
+            return rec.ext.stamped_after(t)
+        return self._att is not None and self._att.stamped_after(t)
 
     def _values(self) -> tuple:
         return (self.id, self.level, self.att, self.nid, self.link_sig)
@@ -111,23 +122,64 @@ class RegisterContent:
 _new_object = object.__new__
 
 
-def _pending_register(id: bytes, level: int, nid: bytes, ext: Extender,
-                      to: bytes | None, to_nid: bytes | None) -> RegisterContent:
-    """The register whose attestation and link signature are
-    ``ext.toward(to, to_nid)``, built when first read.
+class WriteRecord:
+    """What one node writes in one round, toward all its neighbors at once.
 
-    Made without ``__init__``, which would cost as much again: these are
-    most of the registers a run allocates, and ``_att`` and ``_link_sig``
-    are first read after ``_build`` sets them.
+    ``ext`` is the node's ``Extender`` (None for an orphan or a baseline
+    write) and ``nids[p]`` the neighbor ID it assigned to its neighbor at arc
+    position p.  Its extension toward that neighbor is signed for the
+    (ID, neighbor ID) pair it read from the neighbor in the previous round.
+    Where that was a record, the pair is the neighbor's own ID and assigned
+    neighbor ID, which the reader supplies; ``targets`` holds the pairs read
+    from explicit registers (None at the arcs read from a record, and
+    ``targets`` None when every arc was).
+
+    ``made`` and ``built`` count the registers materialised from the record
+    and those of them that signed.
     """
-    reg = _new_object(RegisterContent)
-    reg.id = id
-    reg.level = level
-    reg.nid = nid
-    reg._ext = ext
-    reg._to = to
-    reg._to_nid = to_nid
-    return reg
+
+    __slots__ = ("id", "level", "ext", "nids", "targets", "made", "built")
+
+    def __init__(self, id: bytes, level: int | None, ext: Extender | None,
+                 nids: tuple[bytes, ...], targets: tuple | None = None):
+        self.id = id
+        self.level = level
+        self.ext = ext
+        self.nids = nids
+        self.targets = targets
+        self.made = 0
+        self.built = 0
+
+    def register(self, p: int, reader_id: bytes | None,
+                 reader_nid: bytes | None) -> RegisterContent:
+        """The register shown to the neighbor at arc position ``p``, whose
+        own ID is ``reader_id`` and who assigned this writer ``reader_nid``.
+
+        Made without ``RegisterContent.__init__`` when it holds an
+        extension: ``_att`` and ``_link_sig`` are first read after
+        ``_build`` sets them.
+        """
+        self.made += 1
+        ext = self.ext
+        if ext is None:
+            return RegisterContent(id=self.id, level=self.level, nid=self.nids[p])
+        targets = self.targets
+        if targets is not None and targets[p] is not None:
+            reader_id, reader_nid = targets[p]
+        reg = _new_object(RegisterContent)
+        reg.id = self.id
+        reg.level = self.level
+        reg.nid = self.nids[p]
+        reg._rec = self
+        reg._to = reader_id
+        reg._to_nid = reader_nid
+        return reg
+
+    def all_stamped_after(self, t: int) -> bool:
+        """Whether every chain the record's registers carry holds a tuple
+        stamped later than ``t`` (true when they carry none), answered
+        without signing."""
+        return self.ext is None or self.ext.stamped_after(t)
 
 
 class NodeState(NamedTuple):
@@ -232,20 +284,20 @@ def valid_offer(
 
 def _next_state(
     state: NodeState,
-    inputs: list[RegisterContent],
-    accepts: Callable[[int], bool],
+    inputs: Sequence[RegisterContent | WriteRecord],
+    offer: Callable[[int], LevelAttestation | None],
 ) -> NodeState:
-    """The state update both protocols share, given the predicate that
-    ``accepts`` neighbor ``j``'s offer.
+    """The state update both protocols share, given ``offer(j)``: the chain
+    of neighbor ``j``'s offer when the node accepts it, else None.
 
     The root stays at level 0 and checks nothing.  Any other node tries the
     offers that claim a level >= 0, from the lowest claimed level up and in
-    scan order from i_start within a level, and adopts the first one
-    ``accepts`` takes, with its identity and chain: that is the first valid
-    minimal neighbor, and no offer above its level is checked.  A node that
-    accepts nothing becomes an orphan.  When the chosen index comes after
-    the old parent in scan order, the scan start moves to it, so the new
-    parent is favored from then on (the adaptive preference).
+    scan order from i_start within a level, and adopts the first one it
+    accepts, with its identity and chain: that is the first valid minimal
+    neighbor, and no offer above its level is checked.  A node that accepts
+    nothing becomes an orphan.  When the chosen index comes after the old
+    parent in scan order, the scan start moves to it, so the new parent is
+    favored from then on (the adaptive preference).
     """
     deg = len(inputs)
     i_start = state.i_start % deg if deg else 0
@@ -253,26 +305,25 @@ def _next_state(
     floor = -1  # every offer claiming a level <= floor has been refused
     while not state.is_root:
         lvl = None
-        for reg in inputs:
-            claim = reg.level
+        for w in inputs:
+            claim = w.level
             if claim is not None and claim > floor and (lvl is None or claim < lvl):
                 lvl = claim
         if lvl is None:
             break
         for off in range(deg):
             j = (i_start + off) % deg
-            if inputs[j].level == lvl and accepts(j):
+            if inputs[j].level == lvl:
+                att = offer(j)
+                if att is None:
+                    continue
                 prnt = state.prnt
                 if j != prnt and _prec_raw(prnt, j, i_start):
                     i_start = j
-                adopted = inputs[j]
-                att = adopted.att
+                pid = inputs[j].id
                 return NodeState(
-                    state.keys, lvl + 1,
-                    adopted.id if adopted.id is not None else my_id,
-                    j, i_start,
-                    att if att is not None else LevelAttestation.empty(),
-                    state.assigned_nids, False,
+                    state.keys, lvl + 1, pid if pid is not None else my_id,
+                    j, i_start, att, state.assigned_nids, False,
                 )
         floor = lvl
     level = 0 if state.is_root else None
@@ -280,54 +331,76 @@ def _next_state(
                      LevelAttestation.empty(), state.assigned_nids, state.is_root)
 
 
+def _read(
+    inputs: Sequence[RegisterContent | WriteRecord],
+    positions: Sequence[int] | None,
+    j: int,
+    state: NodeState,
+) -> RegisterContent:
+    """The register the node with ``state`` reads from its neighbor ``j``."""
+    w = inputs[j]
+    if type(w) is WriteRecord:
+        return w.register(positions[j], state.keys.public,  # type: ignore[index]
+                          state.assigned_nids[j])
+    return w  # type: ignore[return-value]
+
+
 def step_honest_attested(
     state: NodeState,
-    inputs: list[RegisterContent],
+    inputs: Sequence[RegisterContent | WriteRecord],
     now: int,
     deltas: Deltas,
     root_id: bytes,
     backend,
-) -> tuple[NodeState, list[RegisterContent]]:
-    """One loop iteration of the attestation-based protocol (pure).
+    positions: Sequence[int] | None = None,
+) -> tuple[NodeState, WriteRecord]:
+    """One loop iteration of the attestation-based protocol.
 
-    ``inputs`` is the node's view of each neighbor's register, indexed by the
-    node's neighbor numbering; ``now`` is this node's current clock reading,
-    also used as the timestamp of every tuple it signs this round.  An offer
-    is accepted when it is a ``valid_offer`` for this node.  The registers
-    returned sign their chains when first read.
+    ``inputs[j]`` is what the node reads from its j-th neighbor, in the
+    node's neighbor numbering: a register, or the neighbor's last
+    ``WriteRecord``, in which this node sits at arc position
+    ``positions[j]``.  ``now`` is this node's current clock reading, also
+    used as the timestamp of every tuple it signs this round.  An offer is
+    accepted when it is a ``valid_offer`` for this node.  Returns the new
+    state and the node's write; its registers sign their chains when first
+    read.  Apart from the read counts of the records in ``inputs``, nothing
+    is mutated.
     """
     my_id = state.keys.public
     my_nids = state.assigned_nids
 
-    def accepts(j: int) -> bool:
-        return valid_offer(inputs[j], my_id, my_nids[j], root_id, now, deltas, backend)
+    def offer(j: int) -> LevelAttestation | None:
+        reg = _read(inputs, positions, j, state)
+        if valid_offer(reg, my_id, my_nids[j], root_id, now, deltas, backend):
+            return reg.att
+        return None
 
-    new = _next_state(state, inputs, accepts)
-
+    new = _next_state(state, inputs, offer)
     nids = new.assigned_nids
     if new.level is None:
-        return new, [RegisterContent(id=my_id, nid=nid) for nid in nids]
+        return new, WriteRecord(my_id, None, None, nids)
+    targets = None
+    if RegisterContent in map(type, inputs):
+        targets = tuple(None if type(w) is WriteRecord else (w.id, w.nid) for w in inputs)
     ext = Extender(new.level_att, new.keys, now, backend, deltas.step)
-    level = new.level
-    return new, [_pending_register(my_id, level, nid, ext, reg.id, reg.nid)
-                 for reg, nid in zip(inputs, nids)]
-
-
-def _any_offer(j: int) -> bool:
-    return True
+    return new, WriteRecord(my_id, new.level, ext, nids, targets)
 
 
 def step_honest_baseline(
     state: NodeState,
-    inputs: list[RegisterContent],
-) -> tuple[NodeState, list[RegisterContent]]:
-    """One loop iteration of the non-cryptographic baseline (pure).
+    inputs: Sequence[RegisterContent | WriteRecord],
+    positions: Sequence[int] | None = None,
+) -> tuple[NodeState, WriteRecord]:
+    """One loop iteration of the non-cryptographic baseline, with the
+    inputs of ``step_honest_attested``.
 
     Validity degenerates to "the advertised level is a non-negative integer",
     which ``_next_state`` already requires, so every such offer is accepted;
     the state update is the attested step's.
     """
-    new = _next_state(state, inputs, _any_offer)
-    my_id = state.keys.public
-    return new, [RegisterContent(id=my_id, level=new.level, nid=nid)
-                 for nid in new.assigned_nids]
+    def offer(j: int) -> LevelAttestation:
+        att = _read(inputs, positions, j, state).att
+        return att if att is not None else LevelAttestation.empty()
+
+    new = _next_state(state, inputs, offer)
+    return new, WriteRecord(state.keys.public, new.level, None, new.assigned_nids)

@@ -18,7 +18,8 @@ import enum
 import gc
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .protocol import (
     NodeState,
     ProtocolKind,
     RegisterContent,
+    WriteRecord,
     init_node,
     step_honest_attested,
     step_honest_baseline,
@@ -58,6 +60,54 @@ class Snapshot(NamedTuple):
     prnts: tuple
 
 
+class Registers(Sequence):
+    """Every register of one round: ``registers[u][k]`` is what node ``u``
+    shows its k-th neighbor.  A row is materialised from the node's write
+    (its ``WriteRecord``, or an explicit row of registers) when first read.
+
+    ``nl`` lists each node's neighbors, ``back[u][k]`` is ``u``'s arc
+    position in its k-th neighbor's list, and ``nids[v]`` holds the
+    neighbor IDs node ``v``'s records carry.
+    """
+
+    __slots__ = ("_writes", "_rows", "_nl", "_back", "_pubs", "_nids")
+
+    def __init__(self, writes: list, nl: list[list[int]], back: list[tuple[int, ...]],
+                 pubs: tuple[bytes, ...], nids: list[tuple[bytes, ...]]):
+        self._writes = writes
+        self._rows: list[tuple[RegisterContent, ...] | None] = [None] * len(writes)
+        self._nl = nl
+        self._back = back
+        self._pubs = pubs
+        self._nids = nids
+
+    def at(self, u: int, k: int) -> RegisterContent:
+        """What node ``u`` shows its k-th neighbor."""
+        w = self._writes[u]
+        if type(w) is not WriteRecord:
+            return w[k]
+        v = self._nl[u][k]
+        return w.register(k, self._pubs[v], self._nids[v][self._back[u][k]])
+
+    def __len__(self) -> int:
+        return len(self._writes)
+
+    def __getitem__(self, u: int) -> tuple[RegisterContent, ...]:
+        row = self._rows[u]
+        if row is None:
+            row = self._rows[u] = tuple(self.at(u, k) for k in range(len(self._nl[u])))
+        return row
+
+    def all_stamped_after(self, u: int, t: int) -> bool:
+        """Whether every chain node ``u``'s registers carry holds a tuple
+        stamped later than ``t`` (true when they carry none); a write record
+        answers without materialising or signing its registers."""
+        w = self._writes[u]
+        if type(w) is WriteRecord:
+            return w.all_stamped_after(t)
+        return all(reg.stamped_after(t) or reg.att is None for reg in self[u])
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Full global snapshot at one round."""
@@ -65,7 +115,7 @@ class Configuration:
     malicious: frozenset[int]
     keys: tuple[bytes, ...]
     node_states: tuple
-    registers: tuple
+    registers: Registers
 
 
 @dataclass(frozen=True)
@@ -98,11 +148,18 @@ class RunConfig:
 
 @dataclass
 class RunOutcome:
+    """What a run did.  ``registers_materialised`` counts the registers made
+    from write records while the run executed (the per-round hook's reads
+    included, later reads of ``final`` not), and ``registers_built`` those
+    of them that signed their chains."""
+
     cfg: RunConfig
     trace: list[Snapshot]
     final: Configuration
     rounds_executed: int
     stopped_early: bool
+    registers_materialised: int
+    registers_built: int
 
     @property
     def honest(self) -> list[int]:
@@ -127,9 +184,10 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
 
     The cyclic GC is paused for the run and the caller's setting restored,
     also when ``per_round_hook`` raises.  This is safe because the rounds
-    allocate some 10**5 containers but no reference cycles, so reference
-    counting frees them all; collections would find nothing, and a full one
-    walks every object of the process, numpy and scipy included.
+    allocate a write record and a state per node, and registers where they
+    are read, but no reference cycles, so reference counting frees them
+    all; collections would find nothing, and a full one walks every object
+    of the process, numpy and scipy included.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -158,6 +216,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
 
     nl = g.neighbor_lists
     pos_index = [{v: k for k, v in enumerate(nl[u])} for u in range(n)]
+    back = [tuple(pos_index[v][u] for v in nl[u]) for u in range(n)]
 
     # the adversary's entry is its embedded honest state, if it keeps one
     states: list[NodeState | None] = [None] * n
@@ -188,8 +247,13 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
             return adv_state.assigned_nids[pos]  # type: ignore[union-attr]
         return states[u].assigned_nids[pos]  # type: ignore[union-attr]
 
-    out: list[list[RegisterContent]] = [[] for _ in range(n)]
+    # a node's write is its WriteRecord, or an explicit row of registers:
+    # the adversary's, and those of an adversarial start
+    out: list = [None] * n
     for u in range(n):
+        if cfg.init_mode is InitMode.CLEAN and u != m:
+            out[u] = WriteRecord(pubs[u], None, None, states[u].assigned_nids)
+            continue
         row = []
         for k, v in enumerate(nl[u]):
             if cfg.init_mode is InitMode.ADVERSARIAL and rng.random() < _PLANTED_SHARE:
@@ -200,6 +264,13 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
             else:
                 row.append(RegisterContent(id=pubs[u], nid=nid_assigned_by(u, v)))
         out[u] = row
+    # the neighbor IDs each node's records carry; the adversary's embedded
+    # honest state, if it keeps one, writes records with its own
+    carried = [adv_state.assigned_nids if st is None else st.assigned_nids  # type: ignore[union-attr]
+               for st in states]
+
+    def registers(writes: list) -> Registers:
+        return Registers(writes, nl, back, pubs, carried)
 
     if (
         cfg.init_mode is InitMode.ADVERSARIAL
@@ -235,7 +306,7 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
             malicious=malicious,
             keys=pubs,
             node_states=tuple(states),
-            registers=tuple(tuple(row) for row in out),
+            registers=registers(out),
         )
 
     trace = [light_snapshot(0)]
@@ -244,30 +315,41 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
     )
 
     attested = cfg.protocol is ProtocolKind.ATTESTED
-    vp = [[(v, pos_index[v][u]) for v in nl[u]] for u in range(n)]
+    counts = [0, 0]  # registers materialised and built, of finished rounds
     stopped_early = False
     last_change = 0
     rnd = 0
     for rnd in range(1, cfg.max_rounds + 1):
         now = rnd * step_len
-        new_out: list[list[RegisterContent]] = [[] for _ in range(n)]
+        # an explicit row is read arc by arc; every other input is a record
+        explicit: dict[int, list[tuple[int, RegisterContent]]] = {}
+        for v, row in enumerate(out):
+            if type(row) is not WriteRecord:
+                for u, k, reg in zip(nl[v], back[v], row):
+                    explicit.setdefault(u, []).append((k, reg))
+        new_out: list = [None] * n
         new_states = list(states)
         for u in honest:
-            ins = [out[v][p] for v, p in vp[u]]
+            ins = list(map(out.__getitem__, nl[u]))
+            for k, reg in explicit.get(u, ()):
+                ins[k] = reg
             if attested:
-                st, outs = step_honest_attested(states[u], ins, now, deltas, root_id, backend)
+                st, write = step_honest_attested(states[u], ins, now, deltas, root_id,
+                                                 backend, back[u])
             else:
-                st, outs = step_honest_baseline(states[u], ins)
+                st, write = step_honest_baseline(states[u], ins, back[u])
             new_states[u] = st
-            new_out[u] = outs
+            new_out[u] = write
         if m is not None:
             # byzantine speed: the adversary reads this round's fresh writes
-            ins_m = [new_out[v][p] for v, p in vp[m]]
+            fresh = registers(new_out)
+            ins_m = [fresh.at(v, p) for v, p in zip(nl[m], back[m])]
             new_out[m] = adversary_step(
                 cfg.adversary, adv_state, ins_m, now, rnd,
                 cfg.protocol, deltas, root_id, backend,
             )
             new_states[m] = adv_state.honest_state  # type: ignore[union-attr]
+        _count_reads(out, counts)
         states = new_states
         out = new_out
         snap = light_snapshot(rnd)
@@ -283,13 +365,25 @@ def _run(cfg: RunConfig, per_round_hook: RoundHook | None, backend) -> RunOutcom
                 stopped_early = True
                 break
 
+    _count_reads(out, counts)
     return RunOutcome(
         cfg=cfg,
         trace=trace,
         final=full_config(),
         rounds_executed=rnd,
         stopped_early=stopped_early,
+        registers_materialised=counts[0],
+        registers_built=counts[1],
     )
+
+
+def _count_reads(writes: list, counts: list[int]) -> None:
+    """Add the registers materialised from and built by the records among
+    ``writes`` to ``counts``."""
+    for w in writes:
+        if type(w) is WriteRecord:
+            counts[0] += w.made
+            counts[1] += w.built
 
 
 def _plant_attestation(

@@ -15,7 +15,10 @@ from spantree import (
     run_campaign,
 )
 from spantree import campaign
+from spantree.attestation import Extender, is_consistent, is_valid_att
 from spantree.campaign import CSV_COLUMNS
+from spantree.crypto import MODEL
+from spantree.protocol import WriteRecord
 from spantree.cli import main as cli_main
 
 
@@ -240,7 +243,121 @@ class TestOracleCheck:
             campaign.oracle_check(instances)
 
 
+def _reference_violations(monkeypatch, idx, deltas):
+    """Violations of consistency instance ``idx`` (seed 7) found by a
+    reference hook that reads the chain of every register and node and
+    checks those whose every tuple is stamped no later than c; None when
+    the instance is skipped."""
+    seen = {}
+    real_instance, real_run = campaign._attacked_instance, campaign.run
+
+    def recording_instance(*args, **kwargs):
+        seen["inst"] = inst = real_instance(*args, **kwargs)
+        return inst
+
+    def reference_run(cfg, per_round_hook=None):
+        inst = seen["inst"]
+        violations = seen["violations"] = []
+        directory = {}
+        bound_time = deltas.c + deltas.step * inst.diam
+        stale_expiry = 2 * deltas.c + deltas.step
+
+        def check(att, reader, reader_id, where, rnd, now, config):
+            if not att.tuples or any(t.t > deltas.c for t in att.tuples):
+                return
+            root_id = config.keys[inst.root]
+            if now > stale_expiry and is_valid_att(
+                    att, reader_id, root_id, now, deltas, None, MODEL):
+                violations.append(
+                    f"{inst.tag}: stale chain of length {len(att)} still valid in "
+                    f"{where} at round {rnd} (time {now})")
+            elif now > bound_time and not is_consistent(
+                    att, inst.aug, directory, reader, config.malicious,
+                    reader_id, root_id, now, deltas, MODEL):
+                violations.append(
+                    f"{inst.tag}: stale inconsistent chain alive in {where} "
+                    f"at round {rnd} (time {now} > {bound_time})")
+
+        def hook(rnd, config):
+            if violations:
+                return
+            now = rnd * deltas.step
+            directory.update((key, u) for u, key in enumerate(config.keys))
+            for u, row in enumerate(config.registers):
+                for v, reg in zip(inst.aug.neighbor_lists[u], row):
+                    if reg.att is not None:
+                        check(reg.att, v, config.keys[v], f"register {u}->{v}",
+                              rnd, now, config)
+                st = config.node_states[u]
+                if st is not None:
+                    check(st.level_att, u, config.keys[u], f"node {u}", rnd, now, config)
+
+        return real_run(cfg, per_round_hook=hook)
+
+    monkeypatch.setattr(campaign, "_attacked_instance", recording_instance)
+    monkeypatch.setattr(campaign, "run", reference_run)
+    if campaign._consistency_instance(idx, 7, 100, deltas) is None:
+        return None
+    return seen["violations"]
+
+
 class TestConsistencyOracle:
+    @pytest.mark.parametrize("deltas", [Deltas(1, 1, 1), Deltas(24, 1, 1)],
+                             ids=["c1", "c24"])
+    def test_hook_matches_reference_hook(self, monkeypatch, deltas):
+        # the hook skips the rows of write records whose chains all carry a
+        # tuple stamped after c without signing them; a hook that reads every
+        # chain must find the same violations.  At c = 24 the first 12 rounds
+        # stamp at most c, so record rows are scanned too, and the second
+        # fact fires at instance 23
+        answers = []
+        real_skip = WriteRecord.all_stamped_after
+
+        def recording_skip(self, t):
+            answers.append(real_skip(self, t))
+            return answers[-1]
+
+        indices = (0, 1, 2, 23)
+        with monkeypatch.context() as mp:
+            mp.setattr(WriteRecord, "all_stamped_after", recording_skip)
+            shipped = [campaign._consistency_instance(i, 7, 100, deltas) for i in indices]
+        reference = []
+        for i in indices:
+            with monkeypatch.context() as mp:
+                reference.append(_reference_violations(mp, i, deltas))
+        assert shipped == reference
+        assert None not in shipped
+        assert True in answers
+        if deltas.c == 24:
+            assert False in answers
+            assert "stale inconsistent chain" in shipped[3][0]
+
+    def test_hook_signs_nothing_the_run_does_not(self, monkeypatch):
+        # every extension signed under the hook is one the protocol itself
+        # reads; the runs count exactly the extensions they build
+        calls = [0]
+        built = [0]
+        real_toward, real_run = Extender.toward, campaign.run
+
+        def counting_toward(self, target_id, nid):
+            calls[0] += 1
+            return real_toward(self, target_id, nid)
+
+        def tallied_run(cfg, per_round_hook=None):
+            out = real_run(cfg, per_round_hook=per_round_hook)
+            built[0] += out.registers_built
+            return out
+
+        monkeypatch.setattr(Extender, "toward", counting_toward)
+        monkeypatch.setattr(campaign, "run", tallied_run)
+        assert campaign.consistency_check(5, 7).violations == []
+        hooked = (calls[0], built[0])
+        calls[0] = built[0] = 0
+        monkeypatch.setattr(campaign, "run", lambda cfg, per_round_hook=None: tallied_run(cfg))
+        campaign.consistency_check(5, 7)
+        assert (calls[0], built[0]) == hooked
+        assert calls[0] == built[0] > 0
+
     @pytest.mark.parametrize("instances", [0, -3])
     def test_empty_suite_rejected(self, instances):
         with pytest.raises(ValueError, match="instances must be at least 1"):

@@ -22,9 +22,10 @@ from spantree import (
     step_honest_attested,
     step_honest_baseline,
 )
-from spantree.attestation import AttTuple, is_valid_att, is_valid_link
+from spantree.attestation import AttTuple, Extender, is_valid_att, is_valid_link
 from spantree.crypto import MODEL, Ed25519Backend, ModelBackend
 from spantree.graph import exact_diameter
+from spantree.protocol import WriteRecord
 
 DELTAS = Deltas(1, 1, 1)
 
@@ -107,6 +108,12 @@ def _valid_register(writer, reader_state, reader_pos, level, att_source_keys, ts
     )
 
 
+def _shown(write, inputs):
+    """The registers ``write`` shows the writers of ``inputs``, each the
+    reader at its arc position, with the ID and neighbor ID it published."""
+    return [write.register(k, reg.id, reg.nid) for k, reg in enumerate(inputs)]
+
+
 class TestAttestedStep:
     def setup_method(self):
         self.root = MODEL.keygen(1)
@@ -117,7 +124,8 @@ class TestAttestedStep:
         st = init_node(self.root, 2, random.Random(0), is_root=True)
         empty = [RegisterContent(id=self.others[0].public, nid=b"x" * 8)] * 2
         for now in (2, 4, 6):
-            st, outs = step_honest_attested(st, empty, now, DELTAS, self.root.public, MODEL)
+            st, write = step_honest_attested(st, empty, now, DELTAS, self.root.public, MODEL)
+            outs = _shown(write, empty)
             assert st.level == 0
             assert st.pid == self.root.public
             assert all(len(o.att) == 1 for o in outs)
@@ -126,7 +134,8 @@ class TestAttestedStep:
     def test_orphan_when_nothing_valid(self):
         st = init_node(self.me, 2, random.Random(0))
         bogus = [RegisterContent(id=b"??", level=3), RegisterContent()]
-        st2, outs = step_honest_attested(st, bogus, 4, DELTAS, self.root.public, MODEL)
+        st2, write = step_honest_attested(st, bogus, 4, DELTAS, self.root.public, MODEL)
+        outs = _shown(write, bogus)
         assert st2.level is None
         assert st2.pid == self.me.public
         assert all(o.level is None and o.att is None for o in outs)
@@ -140,11 +149,11 @@ class TestAttestedStep:
             st.assigned_nids[0], ts, MODEL,
         )
         reg = RegisterContent(id=self.root.public, level=0, att=ex, nid=b"r" * 8, link_sig=link)
-        st2, outs = step_honest_attested(st, [reg], ts + 2, DELTAS, self.root.public, MODEL)
+        st2, write = step_honest_attested(st, [reg], ts + 2, DELTAS, self.root.public, MODEL)
         assert st2.level == 1
         assert st2.pid == self.root.public
         assert len(st2.level_att) == 1
-        assert len(outs[0].att) == 2
+        assert len(_shown(write, [reg])[0].att) == 2
 
     def test_tie_keeps_first_in_scan_order(self):
         st = init_node(self.me, 2, random.Random(3))
@@ -179,7 +188,7 @@ class TestAttestedStep:
         out_a = step_honest_attested(st, [reg], 8, DELTAS, self.root.public, MODEL)
         out_b = step_honest_attested(st, [reg], 8, DELTAS, self.root.public, MODEL)
         assert out_a[0] == out_b[0]
-        assert out_a[1] == out_b[1]
+        assert _shown(out_a[1], [reg]) == _shown(out_b[1], [reg])
 
     def test_attestation_length_matches_level(self):
         g = generate_erdos_renyi(25, 50, seed=11)
@@ -202,7 +211,8 @@ class TestBaselineStep:
             RegisterContent(id=b"adv", level=0),
             RegisterContent(id=b"hon", level=3),
         ]
-        st2, outs = step_honest_baseline(st, regs)
+        st2, write = step_honest_baseline(st, regs)
+        outs = _shown(write, regs)
         assert st2.level == 1
         assert st2.pid == b"adv"
         assert outs[0].level == 1 and outs[0].att is None
@@ -220,7 +230,8 @@ class TestBaselineStep:
         st = st._replace(level=5, level_att=self._stale_attestation(root))
         regs = [RegisterContent(id=b"adv", level=0), RegisterContent(id=b"hon", level=3)]
         for _ in range(3):
-            st, outs = step_honest_baseline(st, regs)
+            st, write = step_honest_baseline(st, regs)
+            outs = _shown(write, regs)
             assert (st.level, st.pid, st.is_root) == (0, root.public, True)
             assert st.level_att is LevelAttestation.empty()
             assert all(o.level == 0 and o.id == root.public and o.att is None for o in outs)
@@ -230,7 +241,8 @@ class TestBaselineStep:
         st = init_node(me, 2, random.Random(0))
         st = st._replace(level=4, pid=b"old", prnt=1, level_att=self._stale_attestation(me))
         regs = [RegisterContent(id=b"neg", level=-1), RegisterContent(id=b"none")]
-        st2, outs = step_honest_baseline(st, regs)
+        st2, write = step_honest_baseline(st, regs)
+        outs = _shown(write, regs)
         assert (st2.level, st2.pid, st2.prnt) == (None, me.public, 1)
         assert st2.level_att is LevelAttestation.empty()
         assert all(o.level is None and o.id == me.public and o.att is None for o in outs)
@@ -482,10 +494,11 @@ class TestLazyRegisters:
         inputs += [RegisterContent(id=kp.public, nid=bytes([k]) * 8)
                    for k, kp in enumerate(others)]
         now = ts + DELTAS.step
-        new, outs = step_honest_attested(st, inputs, now, DELTAS, root.public, backend)
+        new, write = step_honest_attested(st, inputs, now, DELTAS, root.public, backend)
         level = 0 if is_root else 1
         assert new.level == level
         backend.signs = 0
+        outs = _shown(write, inputs)
         assert [(o.id, o.level, o.nid) for o in outs] == \
             [(node.public, level, nid) for nid in new.assigned_nids]
         assert backend.signs == 0
@@ -500,6 +513,30 @@ class TestLazyRegisters:
             assert hash(out) == hash(expected)
         assert backend.signs == 2 * len(outs)
 
+    def test_record_inputs_sign_for_the_reader(self):
+        # a node that read its neighbors' records signs its extension toward
+        # each for that neighbor's own ID and the neighbor ID it assigned
+        backend = SignCounter(MODEL)
+        root, me = MODEL.keygen(1), MODEL.keygen(2)
+        others = [MODEL.keygen(10 + i) for i in range(2)]
+        rng = random.Random(8)
+        root_st = init_node(root, 1, rng, is_root=True)
+        other_sts = [init_node(kp, 1, rng) for kp in others]
+        st = init_node(me, 3, rng)
+        # this node is arc 0 of every neighbor's record
+        writes = [step_honest_attested(s, [RegisterContent(id=me.public, nid=st.assigned_nids[j])],
+                                       2, DELTAS, root.public, backend)[1]
+                  for j, s in enumerate([root_st] + other_sts)]
+        now = 2 + DELTAS.step
+        new, write = step_honest_attested(st, writes, now, DELTAS, root.public, backend,
+                                          positions=(0, 0, 0))
+        assert (new.level, new.pid, new.prnt) == (1, root.public, 0)
+        for k, (kp, nst) in enumerate(zip([root] + others, [root_st] + other_sts)):
+            reg = write.register(k, kp.public, nst.assigned_nids[0])
+            ref_att, ref_link = extend(new.level_att, me, kp.public, nst.assigned_nids[0],
+                                       now, MODEL, DELTAS.step)
+            assert reg == RegisterContent(me.public, 1, ref_att, st.assigned_nids[k], ref_link)
+
     def test_equality_reads_every_field(self):
         a = RegisterContent(id=b"a", level=1, nid=b"n")
         assert a == RegisterContent(id=b"a", level=1, nid=b"n")
@@ -510,3 +547,51 @@ class TestLazyRegisters:
         assert a != RegisterContent(id=b"a", level=1, att=att, nid=b"n")
         assert RegisterContent(b"a", 1, att, b"n", link) == \
             RegisterContent(id=b"a", level=1, att=att, nid=b"n", link_sig=link)
+
+
+class TestStampedAfter:
+    """``stamped_after`` answers as a scan of the built chain's timestamps
+    does, and a register not yet signed answers without signing."""
+
+    @staticmethod
+    def _scan(reg, t):
+        return reg.att is not None and any(tup.t > t for tup in reg.att.tuples)
+
+    def _record(self, backend, chain_ts, ts):
+        root, me = MODEL.keygen(1), MODEL.keygen(2)
+        chain, _ = extend(LevelAttestation.empty(), root, me.public, None, chain_ts, MODEL)
+        return WriteRecord(me.public, 1, Extender(chain, me, ts, backend, DELTAS.step),
+                           (b"a" * 8, b"b" * 8))
+
+    @pytest.mark.parametrize("chain_ts,ts", [(3, 6), (3, 4), (5, 4)])
+    def test_record_registers_match_the_scan(self, chain_ts, ts):
+        for t in range(8):
+            backend = SignCounter(MODEL)
+            write = self._record(backend, chain_ts, ts)
+            pending = write.register(0, b"r", b"n")
+            answer = pending.stamped_after(t)
+            row = write.all_stamped_after(t)
+            if ts > t:
+                assert answer and row
+                assert backend.signs == 0
+            assert answer == self._scan(pending, t)  # now built
+            assert pending.stamped_after(t) == answer
+            assert row == all(self._scan(write.register(p, b"r", b"n"), t) for p in (0, 1))
+
+    def test_explicit_and_empty_registers(self):
+        rng = random.Random(4)
+        keys = [MODEL.keygen(i) for i in range(1, 5)]
+        tuples = []
+        for i, kp in enumerate(keys):
+            ts = rng.randint(0, 6)
+            target = keys[i + 1].public if i + 1 < len(keys) else b"reader"
+            tuples.append((kp.public, ts, MODEL.sign_level(kp.secret, target, ts)))
+        planted = RegisterContent(id=b"x", level=3, nid=b"n" * 8,
+                                  att=LevelAttestation.from_tuples(tuples, MODEL))
+        empty = RegisterContent(id=b"x", nid=b"n" * 8)
+        orphan = WriteRecord(b"x", None, None, (b"n" * 8,))
+        for t in range(-1, 8):
+            assert planted.stamped_after(t) == self._scan(planted, t)
+            assert not empty.stamped_after(t)
+            assert orphan.all_stamped_after(t)
+            assert not orphan.register(0, b"r", b"n").stamped_after(t)

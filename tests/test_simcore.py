@@ -29,6 +29,7 @@ from spantree import (
 )
 from spantree.crypto import MODEL
 from spantree.campaign import derive_seed
+from spantree.protocol import WriteRecord
 from spantree.simcore import changed
 
 KEYS = tuple(MODEL.keygen(i).public for i in range(8))
@@ -174,14 +175,15 @@ class TestGcPause:
         assert gc.collect() == 0
 
     def test_unread_registers_make_no_cycles_and_hold_no_old_rounds(self):
-        # without a hook most registers are never read, so they stay
-        # unsigned; they must neither form cycles nor keep the registers of
-        # earlier rounds alive: about one round of arcs outlives the run
+        # without a hook most registers are never materialised, and those
+        # read stay unsigned until read; writes must neither form cycles nor
+        # keep the writes of earlier rounds alive: about one round of write
+        # records and registers outlives the run
         cfg = self._cheat_run_config()
         gc.collect()
 
         def live_registers():
-            return sum(isinstance(o, RegisterContent) for o in gc.get_objects())
+            return sum(isinstance(o, (RegisterContent, WriteRecord)) for o in gc.get_objects())
 
         before = live_registers()
         out = run(cfg)
