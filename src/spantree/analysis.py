@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .graph import Graph, bfs_distances
 from .simcore import RunOutcome, detect_stable, ill_directed_set
@@ -102,7 +101,10 @@ def mean_ci99(samples) -> tuple[float, float]:
     n = len(vals)
     mean = sum(vals) / n
     var = sum((x - mean) ** 2 for x in vals) / (n - 1)
-    # stdtrit is the routine stats.t.ppf calls; importing scipy.stats is slow
+    # stdtrit is the routine stats.t.ppf calls; importing scipy.stats is slow,
+    # and scipy.special is loaded here, on first use, as only campaigns need it
+    from scipy.special import stdtrit
+
     half = float(stdtrit(n - 1, 0.995)) * math.sqrt(var / n)
     return mean, half
 

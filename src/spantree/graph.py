@@ -16,8 +16,6 @@ from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 INF = float("inf")
 _MARK_BYTES = 1 << 22  # triangle_counts' mark buffer, n bytes per row: 4 MB
@@ -101,13 +99,6 @@ class Graph:
         mask = src < self.indices
         return src[mask], self.indices[mask]
 
-    @property
-    def _csr(self) -> csr_matrix:
-        # built on each read, not kept: only the component search uses it, and
-        # float64 is the dtype it takes without a copy
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -173,14 +164,31 @@ def extract_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     Kept nodes are re-indexed preserving their relative order, so results are
     deterministic.  Ties between equally large components go to the one
     holding the lowest node.
+
+    Components are labelled by hooking and shortcutting (Shiloach and Vishkin,
+    J. Algorithms 1982) with FastSV's rule (Zhang, Azad and Hu, SIAM PP 2020):
+    each pass takes, per non-empty CSR row, the least grandparent label among
+    the node's neighbours, hooks the node and its parent onto it and halves
+    every path.  Labels only fall, so once no grandparent changes each node's
+    grandparent is its root: the lowest index of its component.
     """
-    # strong components of the symmetric CSR are its components, without a transpose
-    ncomp, labels = connected_components(g._csr, directed=True, connection="strong")
-    if ncomp <= 1:
-        return g, np.arange(g.n)
-    sizes = np.bincount(labels)
-    best = labels[np.argmax(sizes[labels] == sizes.max())]
-    kept = np.flatnonzero(labels == best)
+    f = np.arange(g.n)
+    rows = np.flatnonzero(g.degrees)  # reduceat would read an empty row as one entry
+    starts = g.indptr[rows]
+    labels = f[f]
+    while True:
+        least = np.minimum.reduceat(labels[g.indices], starts)
+        np.minimum.at(f, f[rows], least)
+        f[rows] = np.minimum(f[rows], least)
+        f = np.minimum(f, f[f])
+        grand = f[f]
+        if np.array_equal(grand, labels):
+            break
+        labels = grand
+    # labels are component minima, so the first largest holds the lowest node
+    kept = np.flatnonzero(labels == np.argmax(np.bincount(labels, minlength=1)))
+    if kept.size == g.n:
+        return g, kept
     remap = -np.ones(g.n, dtype=np.int64)
     remap[kept] = np.arange(kept.size)
     u, v = g.edge_arrays()

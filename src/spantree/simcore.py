@@ -187,7 +187,7 @@ def run(cfg: RunConfig, per_round_hook: RoundHook | None = None, backend=MODEL) 
     allocate a write record and a state per node, and registers where they
     are read, but no reference cycles, so reference counting frees them
     all; collections would find nothing, and a full one walks every object
-    of the process, numpy and scipy included.
+    of the process, numpy included.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -206,11 +206,25 @@ class TestMeanCi99:
             assert mean_ci99(vals) == (mean, expected)
 
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone took about half of the package's import time
-        src = os.path.dirname(os.path.dirname(spantree.__file__))
-        code = f"import sys; sys.path.insert(0, {src!r}); import spantree; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # scipy took about three quarters of the package's import time, so no
+        # part of it may load with the package
+        assert scipy_modules_after("import spantree") == []
+
+    def test_oracle_suites_leave_scipy_out(self):
+        # nor may the oracle suites load it later, in their first operation
+        code = "from spantree.campaign import consistency_check, oracle_check\n"
+        code += "assert not oracle_check(2).violations\n"
+        code += "assert not consistency_check(2, 7).violations"
+        assert scipy_modules_after(code) == []
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The ``scipy`` modules loaded in a fresh interpreter after ``code``."""
+    src = os.path.dirname(os.path.dirname(spantree.__file__))
+    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}\n"
+    code += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout.split()
 
 
 class TestSimulatedLostSet:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from spantree import graph
 from spantree.graph import (
@@ -147,6 +147,11 @@ class TestErdosRenyi:
             assert list(nbrs) == sorted(nbrs)
 
 
+def scipy_csr(g: Graph) -> csr_matrix:
+    """``g``'s adjacency matrix for the scipy references, float64 ones."""
+    return csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n))
+
+
 def reference_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """The CSR of ``Graph.from_edges`` spelled out: a set of undirected pairs,
     then each node's sorted neighbour list."""
@@ -271,7 +276,7 @@ class TestBfs:
 
     def test_matches_dijkstra(self):
         for g, sources in bfs_cases():
-            want = dijkstra(g._csr, unweighted=True, indices=sorted(set(sources)), min_only=True)
+            want = dijkstra(scipy_csr(g), unweighted=True, indices=sorted(set(sources)), min_only=True)
             got = bfs_distances(g, sources)
             assert got.dtype == np.float64
             assert np.array_equal(got, want), (g, sources)
@@ -279,7 +284,7 @@ class TestBfs:
     def test_dense_graph_pulls(self, monkeypatch):
         # level 1 holds most nodes, so its arcs outnumber the unvisited ones'
         g = generate_erdos_renyi(60, 1500, seed=2)
-        want = dijkstra(g._csr, unweighted=True, indices=[0], min_only=True)
+        want = dijkstra(scipy_csr(g), unweighted=True, indices=[0], min_only=True)
         pulls = count_pulls(monkeypatch)
         assert np.array_equal(bfs_distances(g, [0]), want)
         assert pulls
@@ -414,7 +419,7 @@ class TestMetrics:
 
 def reference_path_totals(g: Graph, sources) -> tuple[int, int, int]:
     """``_path_totals`` from one scipy Dijkstra row per source."""
-    csr = g._csr
+    csr = scipy_csr(g)
     total = pairs = diameter = 0
     for s in sources:
         d = dijkstra(csr, unweighted=True, indices=s)
@@ -468,7 +473,7 @@ def reference_triangle_counts(g: Graph) -> np.ndarray:
     forward kernel replaced.  Entry (y, w) counts the common neighbours
     x < w of an adjacent pair y, w, so a triangle is counted once in each of
     its rows."""
-    a = g._csr
+    a = scipy_csr(g)
     row, col = g.edge_arrays()
     u = csr_matrix((np.ones(col.size), (row, col)), shape=a.shape)
     tri = np.zeros(g.n, dtype=np.float64)
@@ -591,6 +596,46 @@ class TestEvaluationGraphMetrics:
             63392, 824096, 3.7463797354908426, 0.00042571067373392167, 5, False)
 
 
+def reference_largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
+    """``extract_largest_component`` from scipy's component labels: the
+    largest component, ties to the one holding the lowest node."""
+    ncomp, labels = connected_components(scipy_csr(g), directed=False)
+    sizes = np.bincount(labels, minlength=1)
+    first = np.array([np.flatnonzero(labels == c).min() for c in range(ncomp)] or [0])
+    best = min(np.flatnonzero(sizes == sizes.max()), key=lambda c: first[c])
+    kept = np.flatnonzero(labels == best)
+    remap = {int(u): i for i, u in enumerate(kept)}
+    u, v = g.edge_arrays()
+    edges = [(remap[a], remap[b]) for a, b in zip(u.tolist(), v.tolist()) if a in remap and b in remap]
+    return Graph.from_edges(kept.size, edges), kept
+
+
+def largest_component_cases() -> list[Graph]:
+    """Graphs whose labelling takes many passes, has many components, or
+    ties for the largest with the lowest node in a later component."""
+    rng = np.random.default_rng(5)
+    order = rng.permutation(10_000)  # a path in random node order
+    pairs = rng.permutation(2_000).reshape(-1, 2)  # 1000 components of two
+    # two triangles and an edge, the edge holding the lowest node 0, and the
+    # triangle holding node 1 tied with one that starts at node 2
+    ties = [(0, 9), (2, 4), (4, 6), (2, 6), (1, 3), (3, 5), (1, 5)]
+    # a tie won by the path 0-7-8, whose other nodes follow the path 1-2-3
+    late = [(0, 8), (8, 7), (1, 2), (2, 3)]
+    return [
+        generate_erdos_renyi(2_000, 1_400, seed=3),  # sparse: many components
+        generate_erdos_renyi(300, 20_000, seed=3),  # dense
+        Graph.from_edges(10_000, np.column_stack([order[:-1], order[1:]])),
+        Graph.from_edges(2_000, pairs),
+        Graph.from_edges(7, [(3, v) for v in range(7) if v != 3]),  # a star
+        Graph.from_edges(8, [(2, 3), (3, 4), (5, 6)]),  # isolated nodes 0, 1 and 7
+        Graph.from_edges(5, []),
+        Graph.from_edges(1, []),
+        Graph.from_edges(0, []),
+        Graph.from_edges(10, ties),
+        Graph.from_edges(9, late),
+    ]
+
+
 class TestLargestComponent:
     def test_extraction(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
@@ -609,11 +654,26 @@ class TestLargestComponent:
         assert kept.tolist() == [0, 1, 2]
 
     def test_sparse_matrix_not_kept(self):
-        # the graph holds no sparse copy of itself once the component search is done
-        g = generate_erdos_renyi(300, 320, seed=4)
-        extract_largest_component(g)
-        triangle_counts(g)
-        assert "_csr" not in g.__dict__
+        # the component search labels the CSR arrays themselves, so the graph
+        # has no sparse matrix view to build or keep
+        assert not hasattr(Graph, "_csr")
+
+    @pytest.mark.parametrize("g", largest_component_cases(), ids=repr)
+    def test_matches_scipy_components(self, g):
+        sub, kept = extract_largest_component(g)
+        want_sub, want_kept = reference_largest_component(g)
+        assert kept.dtype == np.int64
+        assert np.array_equal(kept, want_kept)
+        assert sub == want_sub
+
+    def test_random_graphs_match_scipy_components(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            g = random_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)))
+            sub, kept = extract_largest_component(g)
+            want_sub, want_kept = reference_largest_component(g)
+            assert np.array_equal(kept, want_kept) and sub == want_sub, g
 
 
 class TestWithAddedNode:
